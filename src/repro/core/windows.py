@@ -338,94 +338,94 @@ def _per_node_window_counts(
     return counts
 
 
-class _TriggerPlan:
-    """Censoring, node grouping and rack grouping of one trigger stream.
+#: Most segment elements :func:`slice_window_counts` expands at once.
+#: Longer trigger slices are processed in chunks of about this size, so
+#: the flat arrays stay bounded on full-scale archives.
+SEGMENT_CHUNK = 1 << 20
 
-    Built once per trigger :class:`EventIndex` and reused for every
-    (target, span) cell of a batched grid.  Because trigger times are
-    sorted and window censoring (``t + span.days <= period.end``) is
-    monotone in ``t``, the censored trigger set for any span is a prefix
-    of the time-sorted stream -- per-span work reduces to a prefix count
-    instead of a fresh mask-and-copy.
+
+def prev_same_node(nodes: np.ndarray) -> np.ndarray:
+    """Index of the previous event of the same node, or -1.
+
+    ``nodes`` is the node column of a time-sorted event stream; the
+    result is the per-event link :func:`slice_window_counts` uses to
+    count each node once per window.
     """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    prev = np.full(nodes.size, -1, dtype=np.int64)
+    if nodes.size > 1:
+        # A stable sort by node keeps each node's events in time order.
+        order = np.argsort(nodes, kind="stable")
+        same = nodes[order[1:]] == nodes[order[:-1]]
+        prev[order[1:][same]] = order[:-1][same]
+    return prev
 
-    __slots__ = (
-        "times",
-        "nodes",
-        "span_days",
-        "n_alive",
-        "node_groups",
-        "rack_order",
-        "rack_starts",
-        "rack_trials_cumsum",
-    )
 
-    def __init__(
-        self,
-        trigger: EventIndex,
-        period: ObservationPeriod,
-        spans: Sequence[Span],
-        rack_of: np.ndarray | None,
-        rack_sizes: np.ndarray | None,
-    ) -> None:
-        t = trigger.times
-        n = trigger.nodes
-        self.times = t
-        self.nodes = n
-        self.span_days = [span.days for span in spans]
-        # The same elementwise predicate as the per-cell kernel (NOT the
-        # rearranged ``t <= end - days``, which differs in float).
-        self.n_alive = [
-            int(np.count_nonzero(t + days <= period.end))
-            for days in self.span_days
-        ]
-        # Group triggers by node once; shared by every target's own-node
-        # window queries.
-        if t.size:
-            order = np.argsort(n, kind="stable")
-            grouped = n[order]
-            bounds = np.flatnonzero(np.diff(grouped)) + 1
-            self.node_groups = np.split(order, bounds)
-        else:
-            self.node_groups = []
-        self.rack_order = None
-        self.rack_starts = None
-        self.rack_trials_cumsum = None
-        if rack_sizes is not None:
-            trig_racks = n if not t.size else rack_of[n]
-            self.rack_order = np.argsort(trig_racks, kind="stable")
-            n_racks = int(rack_sizes.size)
-            self.rack_starts = np.zeros(n_racks + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(trig_racks, minlength=n_racks),
-                out=self.rack_starts[1:],
-            )
-            self.rack_trials_cumsum = np.zeros(t.size + 1, dtype=np.int64)
-            np.cumsum(rack_sizes[trig_racks] - 1, out=self.rack_trials_cumsum[1:])
+def slice_window_counts(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    trigger_nodes: np.ndarray,
+    labels: np.ndarray,
+    n_labels: int,
+    target_times: np.ndarray,
+    target_nodes: np.ndarray,
+    target_prev: np.ndarray,
+    rack_of: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window hits of a slice of triggers against one target stream.
 
-    def own_hit_counts(self, target: EventIndex) -> list[int]:
-        """Per-span number of censored triggers whose own node has a hit.
+    Row ``i`` is a trigger on node ``trigger_nodes[i]`` whose window is
+    ``(starts[i], ends[i]]``; its hits are added to output label
+    ``labels[i]``.  Callers pass only uncensored triggers and compute
+    the trials themselves.  The target stream is time-sorted, with
+    ``target_prev = prev_same_node(target_nodes)``.
 
-        One ``lo`` searchsorted per trigger-node block is shared by all
-        spans; only the ``hi`` side is span-dependent.
-        """
-        n_spans = len(self.span_days)
-        if len(target) == 0 or not self.node_groups:
-            return [0] * n_spans
-        hits = [np.zeros(self.times.size, dtype=bool) for _ in range(n_spans)]
-        for sel in self.node_groups:
-            block = target.node_block(int(self.nodes[sel[0]]))
-            if block.size == 0:
-                continue
-            starts = self.times[sel]
-            lo = np.searchsorted(block, starts, side="right")
-            for k, days in enumerate(self.span_days):
-                hi = np.searchsorted(block, starts + days, side="right")
-                hits[k][sel] = hi > lo
-        return [
-            int(np.count_nonzero(hits[k][: self.n_alive[k]]))
-            for k in range(n_spans)
-        ]
+    Each window is the target segment ``[lo, hi)`` found by one
+    ``searchsorted(..., "right")`` pair -- the same float comparisons as
+    a per-node block query -- and a node is counted once per window, at
+    its first event in the segment (``target_prev[j] < lo``).  Counts
+    are integers, so they are additive over any split of the triggers
+    into slices.
+
+    Returns:
+        Per label: own-node hits (NODE scope), distinct other nodes hit
+        (SYSTEM scope), and distinct other nodes of the trigger's rack
+        hit (RACK scope; zeros when ``rack_of`` is ``None``).
+    """
+    own = np.zeros(n_labels, dtype=np.int64)
+    system = np.zeros(n_labels, dtype=np.int64)
+    rack = np.zeros(n_labels, dtype=np.int64)
+    if not starts.size or not target_times.size:
+        return own, system, rack
+    lo = np.searchsorted(target_times, starts, side="right")
+    lengths = np.searchsorted(target_times, ends, side="right") - lo
+    ends_at = np.cumsum(lengths)
+    # Flat element e of row r sits at target position e + shift[r].
+    shift = lo - (ends_at - lengths)
+    row = 0
+    done = 0
+    while row < lengths.size:
+        stop = max(
+            int(np.searchsorted(ends_at, done + SEGMENT_CHUNK, side="right")),
+            row + 1,
+        )
+        rows = np.repeat(np.arange(row, stop), lengths[row:stop])
+        pos = np.arange(done, int(ends_at[stop - 1])) + shift[rows]
+        first = target_prev[pos] < lo[rows]
+        rows = rows[first]
+        hit = target_nodes[pos[first]]
+        node = trigger_nodes[rows]
+        label = labels[rows]
+        is_own = hit == node
+        own += np.bincount(label[is_own], minlength=n_labels)
+        other = ~is_own
+        system += np.bincount(label[other], minlength=n_labels)
+        if rack_of is not None:
+            same_rack = other & (rack_of[hit] == rack_of[node])
+            rack += np.bincount(label[same_rack], minlength=n_labels)
+        row = stop
+        done = int(ends_at[stop - 1])
+    return own, system, rack
 
 
 def conditional_counts_batch(
@@ -439,13 +439,14 @@ def conditional_counts_batch(
 ) -> list[list[list[Counts]]]:
     """A trigger x target x span grid of conditional :class:`Counts`.
 
-    Computes, in one pass per trigger stream, every cell that per-cell
-    :func:`conditional_counts` calls would produce -- censoring, node
-    grouping and rack grouping of each trigger stream happen once and
-    are reused for every target and span, and the window-start
-    ``searchsorted`` is shared across spans.  Results are exactly equal
-    to the per-cell kernel (all reductions are integer counts of the
-    same searchsorted comparisons).
+    Computes every cell that per-cell :func:`conditional_counts` calls
+    would produce, with one :func:`slice_window_counts` call per target:
+    every (trigger stream, span) pair is one labelled slice of rows.
+    Because trigger times are sorted and censoring
+    (``t + span.days <= period.end``) is monotone in ``t``, each slice
+    is a prefix of its trigger stream.  Results are exactly equal to the
+    per-cell kernel (all reductions are integer counts of the same
+    searchsorted comparisons).
 
     Args:
         triggers: trigger event streams (grid rows).
@@ -459,15 +460,16 @@ def conditional_counts_batch(
         spans[k])``.
     """
     spans = list(spans)
+    n_spans = len(spans)
     counter_add("windows.conditional_batch_calls", 1)
     counter_add(
         "windows.conditional_cells",
-        len(triggers) * len(targets) * len(spans),
+        len(triggers) * len(targets) * n_spans,
         path="batch",
     )
-    rack_sizes = None
     if scope is not Scope.NODE and num_nodes is None:
         raise WindowAnalysisError(f"{scope} scope requires num_nodes")
+    rack_sizes = None
     if scope is Scope.RACK:
         if rack_of is None:
             raise WindowAnalysisError("RACK scope requires a rack_of mapping")
@@ -477,80 +479,58 @@ def conditional_counts_batch(
                 "rack_of must map every node of the system to a rack"
             )
         rack_sizes = np.bincount(rack_of, minlength=int(rack_of.max()) + 1)
-    grid: list[list[list[Counts]]] = []
-    for trigger in triggers:
-        plan = _TriggerPlan(trigger, period, spans, rack_of, rack_sizes)
-        grid.append(
-            [
-                _batch_cell_counts(
-                    plan, target, spans, scope, rack_of, num_nodes
-                )
-                for target in targets
-            ]
+    # One labelled slice per (trigger, span): the censored prefix.
+    starts, ends, nodes, labels = [], [], [], []
+    n_alive: list[int] = []
+    trials: list[int] = []
+    for i, trigger in enumerate(triggers):
+        for k, span in enumerate(spans):
+            # The same elementwise predicate as the per-cell kernel (NOT
+            # the rearranged ``t <= end - days``, which differs in float).
+            alive = int(
+                np.count_nonzero(trigger.times + span.days <= period.end)
+            )
+            t = trigger.times[:alive]
+            n = trigger.nodes[:alive]
+            starts.append(t)
+            ends.append(t + span.days)
+            nodes.append(n)
+            labels.append(np.full(alive, i * n_spans + k, dtype=np.int64))
+            n_alive.append(alive)
+            if scope is Scope.NODE:
+                trials.append(alive)
+            elif scope is Scope.RACK:
+                trials.append(int((rack_sizes[rack_of[n]] - 1).sum()))
+            else:
+                trials.append(alive * (num_nodes - 1))
+    n_labels = len(n_alive)
+    if not n_labels:
+        return [[[] for _ in targets] for _ in triggers]
+    rows = [np.concatenate(column) for column in (starts, ends, nodes, labels)]
+    planes: list[list[list[Counts]]] = [[] for _ in triggers]
+    for target in targets:
+        by_scope = zip(
+            (Scope.NODE, Scope.SYSTEM, Scope.RACK),
+            slice_window_counts(
+                *rows,
+                n_labels,
+                target.times,
+                target.nodes,
+                prev_same_node(target.nodes),
+                rack_of=rack_of if scope is Scope.RACK else None,
+            ),
         )
-    return grid
-
-
-def _batch_cell_counts(
-    plan: _TriggerPlan,
-    target: EventIndex,
-    spans: Sequence[Span],
-    scope: Scope,
-    rack_of: np.ndarray | None,
-    num_nodes: int | None,
-) -> list[Counts]:
-    """Per-span counts of one (trigger, target) pair of a batched grid."""
-    n_spans = len(spans)
-    own = plan.own_hit_counts(target)
-    if scope is Scope.NODE:
-        return [
-            Counts(own[k], plan.n_alive[k]) if plan.n_alive[k] else ZERO_COUNTS
-            for k in range(n_spans)
-        ]
-
-    # RACK / SYSTEM: pair trials; successes decompose into all in-scope
-    # nodes (per target-node block) minus the trigger's own node.
-    successes = [-own[k] for k in range(n_spans)]
-    if scope is Scope.RACK:
-        for node in target.event_nodes():
-            rack = int(rack_of[node]) if node < num_nodes else -1
-            if rack < 0:
-                continue
-            sel = plan.rack_order[
-                plan.rack_starts[rack] : plan.rack_starts[rack + 1]
-            ]
-            if not sel.size:
-                continue
-            block = target.node_block(int(node))
-            if not block.size:
-                continue
-            starts = plan.times[sel]
-            lo = np.searchsorted(block, starts, side="right")
-            for k, days in enumerate(plan.span_days):
-                hi = np.searchsorted(block, starts + days, side="right")
-                successes[k] += int(
-                    np.count_nonzero((hi > lo) & (sel < plan.n_alive[k]))
-                )
-        trials = [
-            int(plan.rack_trials_cumsum[plan.n_alive[k]])
-            for k in range(n_spans)
-        ]
-    else:
-        for node in target.event_nodes():
-            block = target.node_block(int(node))
-            if not block.size:
-                continue
-            lo = np.searchsorted(block, plan.times, side="right")
-            for k, days in enumerate(plan.span_days):
-                hi = np.searchsorted(block, plan.times + days, side="right")
-                successes[k] += int(np.count_nonzero((hi > lo)[: plan.n_alive[k]]))
-        trials = [plan.n_alive[k] * (num_nodes - 1) for k in range(n_spans)]
-    return [
-        Counts(successes[k], trials[k])
-        if plan.n_alive[k] and trials[k]
-        else ZERO_COUNTS
-        for k in range(n_spans)
-    ]
+        hits = dict(by_scope)[scope]
+        for i, plane in enumerate(planes):
+            plane.append(
+                [
+                    Counts(int(hits[c]), trials[c])
+                    if n_alive[c] and trials[c]
+                    else ZERO_COUNTS
+                    for c in range(i * n_spans, (i + 1) * n_spans)
+                ]
+            )
+    return planes
 
 
 def baseline_counts_batch(

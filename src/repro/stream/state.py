@@ -1,20 +1,20 @@
-"""Incremental analysis state mirroring the batch window engine exactly.
+"""Incremental analysis state over the shared batch window kernel.
 
 The batch engine (:mod:`repro.core.windows`) answers "what is the
 probability a node fails in the window after a trigger" over a complete
 archive.  This module maintains the *same counts incrementally* as
 events stream in, with three guarantees:
 
-* **Replay-vs-batch equivalence** -- after a full replay the
-  conditional grids equal :func:`repro.core.windows.conditional_counts_batch`
-  and the baseline grids equal
-  :func:`repro.core.windows.baseline_counts_batch` *exactly* (integer
-  equality, not approximation).  Every float comparison here is the
-  same float64 comparison the batch kernels make: window membership is
-  ``searchsorted(block, t, "right") < searchsorted(block, t + span.days,
-  "right")``, censoring is elementwise ``t + span.days <= period.end``,
-  and baseline tiling uses the same ``floor((t - start) / span.days)``
-  slot arithmetic.
+* **Replay-vs-batch equivalence by construction** -- windows are
+  counted by :func:`repro.core.windows.slice_window_counts`, the kernel
+  behind :func:`~repro.core.windows.conditional_counts_batch`.  Batch
+  counts each trigger stream as one slice; the stream counts the slice
+  of triggers whose windows became final in a micro-batch.  The
+  kernel's counts are additive over slices, so after a full replay the
+  conditional grids equal the batch grids *exactly* (integer equality).
+  Censoring is the same elementwise ``t + span.days <= period.end``,
+  and the baseline grids use the same ``floor((t - start) / span.days)``
+  slot arithmetic as :func:`repro.core.windows.baseline_counts_batch`.
 * **Monotone finalisation** -- a trigger's window ``(t, t + span]`` is
   counted only once the watermark passes ``t + span`` (no admissible
   event can still land in it).  Because admitted events satisfy
@@ -29,7 +29,8 @@ events stream in, with three guarantees:
   :meth:`StreamAnalysisState.digest` as an uninterrupted run
   (already-applied events deduplicate, already-final events drop as
   late).  Checkpoints contain no wall-clock timestamps, so rewriting
-  the same state yields byte-identical payloads.
+  the same state yields byte-identical payloads; a damaged checkpoint
+  raises :class:`StreamStateError`.
 """
 
 from __future__ import annotations
@@ -38,14 +39,16 @@ import hashlib
 import json
 import math
 import os
+import zipfile
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.windows import Counts, Scope
+from ..core.windows import Counts, Scope, prev_same_node, slice_window_counts
 from ..records.dataset import Archive
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import ALL_SPANS, ObservationPeriod, Span, count_windows
@@ -61,6 +64,8 @@ class StreamStateError(ValueError):
 #: meta schema or array layout; :func:`load_checkpoint` refuses payloads
 #: from other versions rather than guessing.
 CHECKPOINT_VERSION = 1
+
+_NODE, _RACK, _SYSTEM = Scope.NODE.value, Scope.RACK.value, Scope.SYSTEM.value
 
 #: Selection code for "any category" (no filter).
 ANY_CODE = -1
@@ -78,8 +83,14 @@ def selection_code(selection: Category | None) -> int:
     return ANY_CODE if selection is None else _CATEGORY_CODES[selection]
 
 
+_CODE_NAMES: dict[int, str] = {
+    ANY_CODE: "any",
+    **{i: c.value for c, i in _CATEGORY_CODES.items()},
+}
+
+
 def _code_name(code: int) -> str:
-    return "any" if code == ANY_CODE else _CATEGORY_BY_CODE[code].value
+    return _CODE_NAMES[code]
 
 
 def _name_code(name: str) -> int:
@@ -201,35 +212,28 @@ class BatchStats:
 class StreamingEventIndex:
     """Incremental counterpart of :class:`repro.records.dataset.EventIndex`.
 
-    Maintains one event selection both time-sorted (``times`` /
-    ``nodes``) and regrouped per node (``node_block``), under streaming
-    insertion.  Python lists absorb the out-of-order inserts; numpy
-    mirrors are materialised lazily per micro-batch so the resolution
-    kernels run the same vectorised ``searchsorted`` calls as the batch
-    engine.
+    Maintains one event selection time-sorted (``times`` / ``nodes``)
+    under streaming insertion.  Python lists absorb the out-of-order
+    inserts; numpy mirrors (and the :func:`prev_same_node` links the
+    window kernel needs) are materialised lazily per micro-batch.
     """
 
-    __slots__ = ("_times", "_nodes", "_node_times", "_cache")
+    __slots__ = ("_times", "_nodes", "_cache")
 
     def __init__(self) -> None:
         self._times: list[float] = []
         self._nodes: list[int] = []
-        self._node_times: dict[int, list[float]] = {}
-        self._cache: dict[object, np.ndarray] = {}
+        self._cache: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._times)
 
     def add(self, time: float, node: int) -> None:
-        """Insert one event, keeping both orderings sorted."""
+        """Insert one event, keeping time order (ties: arrival order)."""
         pos = bisect_right(self._times, time)
         self._times.insert(pos, time)
         self._nodes.insert(pos, node)
-        block = self._node_times.setdefault(node, [])
-        block.insert(bisect_right(block, time), time)
-        self._cache.pop("t", None)
-        self._cache.pop("n", None)
-        self._cache.pop(node, None)
+        self._cache.clear()
 
     @property
     def times(self) -> np.ndarray:
@@ -249,12 +253,13 @@ class StreamingEventIndex:
             self._cache["n"] = cached
         return cached
 
-    def node_block(self, node: int) -> np.ndarray:
-        """Sorted event times of one node (empty for unseen nodes)."""
-        cached = self._cache.get(node)
+    @property
+    def prev(self) -> np.ndarray:
+        """:func:`prev_same_node` links of :attr:`nodes` (cached)."""
+        cached = self._cache.get("p")
         if cached is None:
-            cached = np.array(self._node_times.get(node, ()), dtype=float)
-            self._cache[node] = cached
+            cached = prev_same_node(self.nodes)
+            self._cache["p"] = cached
         return cached
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +274,6 @@ class StreamingEventIndex:
         index = cls()
         index._times = [float(t) for t in times]
         index._nodes = [int(n) for n in nodes]
-        for t, n in zip(index._times, index._nodes):
-            index._node_times.setdefault(n, []).append(t)
         return index
 
 
@@ -290,30 +293,6 @@ def _due_prefix(times: np.ndarray, days: float, watermark: float) -> int:
     while pos < n and times[pos] + days < watermark:
         pos += 1
     return pos
-
-
-def _own_hits(
-    due_t: np.ndarray,
-    due_n: np.ndarray,
-    target: StreamingEventIndex,
-    days: float,
-) -> np.ndarray:
-    """Per-trigger "own node has a target event in ``(t, t + days]``"."""
-    hits = np.zeros(due_t.size, dtype=bool)
-    if not len(target) or not due_t.size:
-        return hits
-    order = np.argsort(due_n, kind="stable")
-    grouped = due_n[order]
-    bounds = np.flatnonzero(np.diff(grouped)) + 1
-    for sel in np.split(order, bounds):
-        block = target.node_block(int(due_n[sel[0]]))
-        if block.size == 0:
-            continue
-        starts = due_t[sel]
-        lo = np.searchsorted(block, starts, side="right")
-        hi = np.searchsorted(block, starts + days, side="right")
-        hits[sel] = hi > lo
-    return hits
 
 
 def _window_slot(t: float, start: float, days: float, n_windows: int) -> int:
@@ -366,25 +345,32 @@ class SystemStreamState:
         self.n_windows = {
             span.value: count_windows(period, span) for span in config.spans
         }
-        self.resolved: dict[tuple[int, str], int] = {}
+        # Hot-path constants: ``Span`` attribute lookups go through
+        # ``Enum.__get__``, too slow for once per event.
+        self._spans = tuple(
+            (span.value, span.days, self.n_windows[span.value])
+            for span in config.spans
+        )
+        #: Resolution slices: one output label per (trigger code, span).
+        self._slices = tuple(
+            (tc, sv, days) for tc in self._codes for sv, days, _ in self._spans
+        )
+        self.resolved: dict[tuple[int, str], int] = {
+            (tc, sv): 0 for tc, sv, _ in self._slices
+        }
         self.cond: dict[tuple[str, int, int, str], list[int]] = {}
         for tc in self._codes:
-            for span in config.spans:
-                self.resolved[(tc, span.value)] = 0
-        for tc in self._codes:
             for gc in self._codes:
-                for span in config.spans:
-                    self.cond[(Scope.NODE.value, tc, gc, span.value)] = [0, 0]
-        wide_scopes = [Scope.SYSTEM] + ([Scope.RACK] if rack_of is not None else [])
+                for sv, _, _ in self._spans:
+                    self.cond[(_NODE, tc, gc, sv)] = [0, 0]
+        wide_scopes = [_SYSTEM] + ([_RACK] if rack_of is not None else [])
         for scope in wide_scopes:
             for tc in self._codes:
                 for gc in self._wide_codes:
-                    for span in config.spans:
-                        self.cond[(scope.value, tc, gc, span.value)] = [0, 0]
+                    for sv, _, _ in self._spans:
+                        self.cond[(scope, tc, gc, sv)] = [0, 0]
         self.base_keys: dict[tuple[int, str], set[int]] = {
-            (gc, span.value): set()
-            for gc in self._codes
-            for span in config.spans
+            (gc, sv): set() for gc in self._codes for sv, _, _ in self._spans
         }
 
     # ------------------------------------------------------------------
@@ -409,20 +395,16 @@ class SystemStreamState:
             if event.category is not None
             else None
         )
+        start = self.period.start
         for store_code in (ANY_CODE, code):
             if store_code is None or store_code not in self.stores:
                 continue
             self.stores[store_code].add(event.time, event.node_id)
-            for span in self.config.spans:
-                slot = _window_slot(
-                    event.time,
-                    self.period.start,
-                    span.days,
-                    self.n_windows[span.value],
-                )
+            for sv, days, n_windows in self._spans:
+                slot = _window_slot(event.time, start, days, n_windows)
                 if slot >= 0:
-                    self.base_keys[(store_code, span.value)].add(
-                        event.node_id * self.n_windows[span.value] + slot
+                    self.base_keys[(store_code, sv)].add(
+                        event.node_id * n_windows + slot
                     )
         return "accepted"
 
@@ -445,79 +427,70 @@ class SystemStreamState:
     # window resolution
 
     def resolve(self) -> None:
-        """Advance every (trigger, span) pointer up to the watermark."""
+        """Fold every newly-final trigger slice into the counter cells.
+
+        Each (trigger code, span) pointer advances to the watermark.  The
+        newly-final slices ``[done, due)`` of all pointers, censored as
+        in the batch kernel, become labelled rows of one
+        :func:`~repro.core.windows.slice_window_counts` call per target
+        store.
+        """
         watermark = self.clock.watermark
         if watermark == -math.inf:
             return
-        for tc in self._codes:
+        columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
+        due_cells = []
+        for label, (tc, sv, days) in enumerate(self._slices):
             store = self.stores[tc]
             if not len(store):
                 continue
             times = store.times
-            nodes = store.nodes
-            for span in self.config.spans:
-                key = (tc, span.value)
-                done = self.resolved[key]
-                due = _due_prefix(times, span.days, watermark)
-                if due <= done:
-                    continue
-                self._resolve_range(tc, span, times[done:due], nodes[done:due])
-                self.resolved[key] = due
-
-    def _resolve_range(
-        self, tc: int, span: Span, due_t: np.ndarray, due_n: np.ndarray
-    ) -> None:
-        """Fold a newly-final trigger range into every counter cell."""
-        days = span.days
-        sv = span.value
-        # The same elementwise censoring predicate as the batch kernel.
-        alive = due_t + days <= self.period.end
-        n_alive = int(np.count_nonzero(alive))
-        own_by_code: dict[int, np.ndarray] = {}
-        for gc in self._codes:
-            own = _own_hits(due_t, due_n, self.stores[gc], days)
-            cell = self.cond[(Scope.NODE.value, tc, gc, sv)]
-            cell[0] += int(np.count_nonzero(own & alive))
-            cell[1] += n_alive
-            if gc in self._wide_codes:
-                own_by_code[gc] = own
-        if not n_alive or self.num_nodes <= 1:
-            return
-        alive_idx = np.flatnonzero(alive).tolist()
-        for gc in self._wide_codes:
-            target = self.stores[gc]
-            target_nodes = target.nodes
-            lo = np.searchsorted(target.times, due_t, side="right")
-            hi = np.searchsorted(target.times, due_t + days, side="right")
-            own = own_by_code[gc]
-            successes = 0
-            for i in alive_idx:
-                segment = target_nodes[lo[i] : hi[i]]
-                if segment.size:
-                    successes += int(np.unique(segment).size)
-                    if own[i]:
-                        successes -= 1
-            cell = self.cond[(Scope.SYSTEM.value, tc, gc, sv)]
-            cell[0] += successes
-            cell[1] += n_alive * (self.num_nodes - 1)
-            if self.rack_of is None:
+            done = self.resolved[(tc, sv)]
+            due = _due_prefix(times, days, watermark)
+            if due <= done:
                 continue
-            rack_successes = 0
-            for i in alive_idx:
-                segment = target_nodes[lo[i] : hi[i]]
-                if not segment.size:
-                    continue
-                node = int(due_n[i])
-                mask = (self.rack_of[segment] == self.rack_of[node]) & (
-                    segment != node
-                )
-                if mask.any():
-                    rack_successes += int(np.unique(segment[mask]).size)
-            cell = self.cond[(Scope.RACK.value, tc, gc, sv)]
-            cell[0] += rack_successes
-            cell[1] += int(
-                (self._rack_sizes[self.rack_of[due_n[alive]]] - 1).sum()
+            self.resolved[(tc, sv)] = due
+            # The same elementwise censoring predicate as the batch kernel.
+            alive = times[done:due] + days <= self.period.end
+            t = times[done:due][alive]
+            n = store.nodes[done:due][alive]
+            for column, rows in zip(
+                columns, (t, t + days, n, np.full(t.size, label))
+            ):
+                column.append(rows)
+            rack_trials = (
+                int((self._rack_sizes[self.rack_of[n]] - 1).sum())
+                if self.rack_of is not None
+                else 0
             )
+            due_cells.append((label, tc, sv, int(t.size), rack_trials))
+        if not due_cells:
+            return
+        rows = [np.concatenate(column) for column in columns]
+        for gc in self._codes:
+            target = self.stores[gc]
+            wide = gc in self._wide_codes
+            own, system, rack = slice_window_counts(
+                *rows,
+                len(self._slices),
+                target.times,
+                target.nodes,
+                target.prev,
+                rack_of=self.rack_of if wide else None,
+            )
+            for label, tc, sv, n_alive, rack_trials in due_cells:
+                cell = self.cond[(_NODE, tc, gc, sv)]
+                cell[0] += int(own[label])
+                cell[1] += n_alive
+                if not wide:
+                    continue
+                cell = self.cond[(_SYSTEM, tc, gc, sv)]
+                cell[0] += int(system[label])
+                cell[1] += n_alive * (self.num_nodes - 1)
+                if self.rack_of is not None:
+                    cell = self.cond[(_RACK, tc, gc, sv)]
+                    cell[0] += int(rack[label])
+                    cell[1] += rack_trials
 
     # ------------------------------------------------------------------
     # reads
@@ -826,6 +799,11 @@ def _checkpoint_paths(directory: Path, sequence: int) -> tuple[Path, Path]:
     return directory / f"{stem}.meta.json", directory / f"{stem}.state.npz"
 
 
+def _tmp_path(path: Path) -> Path:
+    """Sibling a file is written to before its atomic ``os.replace``."""
+    return path.with_name(f"{path.name}.tmp")
+
+
 def latest_checkpoint_sequence(directory: Path | str) -> int | None:
     """Sequence number of the newest complete checkpoint, if any."""
     marker = Path(directory) / _LATEST
@@ -840,10 +818,11 @@ def write_checkpoint(
 ) -> CheckpointInfo:
     """Write a new checkpoint generation and atomically publish it.
 
-    Both payload files are written in full before the ``LATEST`` marker
-    is swapped in with an atomic rename, so a crash mid-write leaves the
-    previous generation intact.  Older generations beyond ``keep`` are
-    pruned.
+    Each payload file is written to a temporary sibling and renamed into
+    place, and both land before the ``LATEST`` marker is swapped in the
+    same way, so a crash mid-write leaves the previous generation intact
+    and never leaves a partial file under a checkpoint name.  Older
+    generations beyond ``keep`` are pruned.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -851,12 +830,14 @@ def write_checkpoint(
     sequence = 1 if latest is None else latest + 1
     meta_path, npz_path = _checkpoint_paths(directory, sequence)
     with tel_span("stream.checkpoint", sequence=sequence):
-        meta_path.write_text(
-            json.dumps(state._meta_payload(), sort_keys=True, indent=1)
-        )
-        with open(npz_path, "wb") as handle:
+        meta_tmp = _tmp_path(meta_path)
+        meta_tmp.write_text(json.dumps(state._meta_payload(), sort_keys=True))
+        os.replace(meta_tmp, meta_path)
+        npz_tmp = _tmp_path(npz_path)
+        with open(npz_tmp, "wb") as handle:
             np.savez(handle, **state._array_payload())
-        marker_tmp = directory / f"{_LATEST}.tmp"
+        os.replace(npz_tmp, npz_path)
+        marker_tmp = _tmp_path(directory / _LATEST)
         marker_tmp.write_text(f"{sequence}\n")
         os.replace(marker_tmp, directory / _LATEST)
         size = meta_path.stat().st_size + npz_path.stat().st_size
@@ -889,25 +870,33 @@ def load_checkpoint(
         meta = json.loads(meta_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StreamStateError(f"unreadable checkpoint meta: {exc}") from exc
-    version = meta.get("version")
+    version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
         raise StreamStateError(
             f"checkpoint version {version} is not supported (expected "
             f"{CHECKPOINT_VERSION}); regenerate the checkpoint"
         )
-    restored_config = StreamAnalysisConfig.from_payload(meta["config"])
-    if config is not None and config != restored_config:
+    try:
+        with np.load(npz_path) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise StreamStateError(f"unreadable checkpoint arrays: {exc}") from exc
+    try:
+        restored_config = StreamAnalysisConfig.from_payload(meta["config"])
+        if config is not None and config != restored_config:
+            raise StreamStateError(
+                "checkpoint was written under a different stream configuration"
+            )
+        state = StreamAnalysisState(restored_config)
+        for system_meta in meta["systems"]:
+            system = SystemStreamState.from_payload(
+                system_meta, arrays, restored_config
+            )
+            state.systems[system.system_id] = system
+    except KeyError as exc:
         raise StreamStateError(
-            "checkpoint was written under a different stream configuration"
-        )
-    state = StreamAnalysisState(restored_config)
-    with np.load(npz_path) as payload:
-        arrays = {key: payload[key] for key in payload.files}
-    for system_meta in meta["systems"]:
-        system = SystemStreamState.from_payload(
-            system_meta, arrays, restored_config
-        )
-        state.systems[system.system_id] = system
+            f"incomplete checkpoint {sequence}: missing {exc}"
+        ) from exc
     return state
 
 

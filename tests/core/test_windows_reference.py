@@ -6,15 +6,20 @@ O(triggers x targets) implementation under randomly generated event
 streams (hypothesis).  Any disagreement is a bug in one of them.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import windows
 from repro.core.windows import (
     Counts,
     Scope,
     baseline_counts,
     conditional_counts,
+    prev_same_node,
+    slice_window_counts,
 )
 from repro.records.timeutil import ObservationPeriod, Span, count_windows
 
@@ -74,6 +79,22 @@ events_strategy = st.lists(
     st.tuples(
         st.floats(0.0, 119.5, allow_nan=False),
         st.integers(0, NUM_NODES - 1),
+    ),
+    min_size=0,
+    max_size=25,
+)
+
+
+# Times drawn partly from a small grid, so ties (simultaneous events and
+# events exactly at a window's closed end) are common.  Node 3 never has
+# an event, and node 4 is alone in its rack.
+tied_events_strategy = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.0, 7.0, 8.0, 9.0, 112.0, 113.0]),
+            st.floats(0.0, 119.5, allow_nan=False),
+        ),
+        st.sampled_from([0, 1, 2, 4]),
     ),
     min_size=0,
     max_size=25,
@@ -140,3 +161,53 @@ class TestAgainstReference:
             sorted(events), sorted(events), PERIOD, Span.WEEK, Scope.NODE
         )
         assert fast == slow
+
+
+class TestSliceKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        trig=tied_events_strategy,
+        targ=tied_events_strategy,
+        span=st.sampled_from([Span.DAY, Span.WEEK]),
+        cuts=st.lists(st.integers(0, 25), max_size=4),
+        chunk=st.sampled_from([1, 3, windows.SEGMENT_CHUNK]),
+    )
+    def test_additive_over_slices(self, trig, targ, span, cuts, chunk):
+        """Per-slice counts sum to the naive reference at every scope.
+
+        Small ``chunk`` values force the kernel's internal chunking.
+        """
+        trig = sorted(trig)
+        alive = [(t, n) for t, n in trig if t + span.days <= PERIOD.end]
+        bounds = sorted({0, len(alive), *(min(c, len(alive)) for c in cuts)})
+        slices = [alive[a:b] for a, b in zip(bounds, bounds[1:])]
+        tt = np.array([t for t, _ in alive], dtype=float)
+        tn = np.array([n for _, n in alive], dtype=np.int64)
+        labels = np.concatenate(
+            [np.full(len(part), i, dtype=np.int64) for i, part in enumerate(slices)]
+            or [np.zeros(0, dtype=np.int64)]
+        )
+        gt, gn = to_arrays(targ)
+        with mock.patch.object(windows, "SEGMENT_CHUNK", chunk):
+            own, system, rack = slice_window_counts(
+                tt,
+                tt + span.days,
+                tn,
+                labels,
+                len(slices),
+                gt,
+                gn,
+                prev_same_node(gn),
+                rack_of=RACK_OF,
+            )
+        by_scope = {Scope.NODE: own, Scope.SYSTEM: system, Scope.RACK: rack}
+        for scope, hits in by_scope.items():
+            for i, part in enumerate(slices):
+                expected = naive_conditional(
+                    part, sorted(targ), PERIOD, span, scope, RACK_OF, NUM_NODES
+                )
+                assert hits[i] == expected.successes
+            whole = naive_conditional(
+                trig, sorted(targ), PERIOD, span, scope, RACK_OF, NUM_NODES
+            )
+            assert int(hits.sum()) == whole.successes

@@ -185,6 +185,58 @@ class TestCheckpointFiles:
         meta_b = (b / "ckpt-000001.meta.json").read_bytes()
         assert meta_a == meta_b
 
+    def test_writes_leave_no_temporary_files(self, tmp_path):
+        state = _state()
+        state.ingest([_event(1.0)])
+        write_checkpoint(state, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "LATEST",
+            "ckpt-000001.meta.json",
+            "ckpt-000001.state.npz",
+        ]
+
+
+class TestCorruptCheckpoints:
+    """Damaged checkpoint files raise ``StreamStateError``, never raw errors."""
+
+    @staticmethod
+    def _checkpoint(tmp_path):
+        state = _state()
+        state.ingest([_event(1.0), _event(2.0, node=3)])
+        info = write_checkpoint(state, tmp_path)
+        stem = tmp_path / f"ckpt-{info.sequence:06d}"
+        return stem.with_name(stem.name + ".meta.json"), stem.with_name(
+            stem.name + ".state.npz"
+        )
+
+    def test_truncated_npz(self, tmp_path):
+        _, npz_path = self._checkpoint(tmp_path)
+        data = npz_path.read_bytes()
+        npz_path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(StreamStateError, match="unreadable checkpoint arrays"):
+            load_checkpoint(tmp_path)
+
+    def test_missing_meta_key(self, tmp_path):
+        import json
+
+        meta_path, _ = self._checkpoint(tmp_path)
+        payload = json.loads(meta_path.read_text())
+        del payload["systems"][0]["stats"]
+        meta_path.write_text(json.dumps(payload))
+        with pytest.raises(StreamStateError, match="missing 'stats'"):
+            load_checkpoint(tmp_path)
+
+    def test_missing_array(self, tmp_path):
+        import numpy as np
+
+        _, npz_path = self._checkpoint(tmp_path)
+        with np.load(npz_path) as payload:
+            arrays = {k: payload[k] for k in payload.files if k != "s0.k.any.times"}
+        with open(npz_path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(StreamStateError, match="s0.k.any.times"):
+            load_checkpoint(tmp_path)
+
 
 class TestConfig:
     def test_negative_lateness_rejected(self):

@@ -12,6 +12,10 @@ how *fast* the pipeline is, writing the measurements to
   construction; only interesting on a multi-core box);
 * **warm cache** -- loading the same archive back from the on-disk
   archive cache, the path repeat benchmark runs take;
+* **CSV load** -- ``load_archive`` of the same archive saved once
+  (untimed) as LANL-style CSV files, the input path of ``hpcfail
+  report <dir>`` (``csv_load_s``, guarded by
+  ``check_perf_regression.py``);
 * **analysis** -- one representative window analysis (the Section
   III-A.3 pairwise matrix over group-1), first on cold per-category
   event indices, then warm;
@@ -61,6 +65,7 @@ from repro.core.cache import cache_disabled
 from repro.core.correlations import pairwise_matrix
 from repro.core.report import full_report
 from repro.records.dataset import HardwareGroup
+from repro.records.io import load_archive, save_archive
 from repro.records.timeutil import Span
 from repro.simulate.archive import make_archive
 from repro.simulate.cache import load_cached, store_cached
@@ -161,6 +166,12 @@ def run(args: argparse.Namespace) -> dict:
         assert cached is not None, "cache round-trip failed"
         print(f"cache store:              {timings['cache_store_s']:8.2f} s")
         print(f"warm cache load:          {timings['warm_load_s']:8.2f} s")
+        csv_dir = Path(tmp) / "csv"
+        save_archive(archive, csv_dir)
+        timings["csv_load_s"], _ = _timed(
+            lambda: load_archive(csv_dir), repeats=args.load_repeats
+        )
+        print(f"CSV archive load:         {timings['csv_load_s']:8.2f} s")
 
         def fresh_archive():
             # Each report timing starts from a freshly loaded archive so
@@ -313,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         "--load-repeats",
         type=int,
         default=3,
-        help="repetitions of the warm-cache load (best is reported)",
+        help="repetitions of the warm-cache and CSV loads (best is reported)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -11,7 +11,9 @@ must stay within ``--factor`` (default 2x) of their baseline:
   span+counter pairs), so instrumentation that stops being free when
   switched off fails the build;
 * ``checkpoint_roundtrip_s`` -- one streaming-state checkpoint write +
-  restore round trip.
+  restore round trip;
+* ``csv_load_s`` -- ``load_archive`` of the archive saved as CSV files
+  (the column readers for job and temperature logs).
 
 Guarded *rates* are lower-bounded at baseline / ``--factor``:
 
@@ -35,7 +37,12 @@ import sys
 from pathlib import Path
 
 #: Timings guarded against regression (all from the smoke configuration).
-GUARDED = ("report_warm_s", "telemetry_noop_s", "checkpoint_roundtrip_s")
+GUARDED = (
+    "report_warm_s",
+    "telemetry_noop_s",
+    "checkpoint_roundtrip_s",
+    "csv_load_s",
+)
 
 #: Derived rates guarded against regression (higher is better, so the
 #: bound is a floor at baseline / factor rather than a ceiling).

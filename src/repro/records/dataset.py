@@ -7,6 +7,9 @@ also exposes a columnar numpy view of the failure log
 (:class:`FailureTable`) that the analysis layer uses for vectorised
 window computations.
 
+:class:`ColumnarSystemDataset` is the same dataset with its job and
+temperature logs held as numpy columns, as both archive loaders build it.
+
 :class:`Archive` bundles all systems plus site-wide series (the neutron
 monitor feed) and mirrors the shape of the public LANL release: ten
 systems in two hardware groups.
@@ -270,6 +273,19 @@ class SystemDataset:
     layout: MachineLayout | None = None
 
     def __post_init__(self) -> None:
+        self.validate()
+        # Normalise record ordering once, at construction.
+        object.__setattr__(self, "failures", tuple(sorted(self.failures)))
+        object.__setattr__(self, "maintenance", tuple(sorted(self.maintenance)))
+        object.__setattr__(self, "jobs", tuple(sorted(self.jobs)))
+        object.__setattr__(self, "temperatures", tuple(sorted(self.temperatures)))
+
+    def validate(self) -> None:
+        """Check the system's shape and its failure, maintenance and layout
+        logs against each other; raises :class:`DatasetError`.
+
+        Job and temperature records validate themselves at construction.
+        """
         if self.num_nodes < 1:
             raise DatasetError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.processors_per_node < 1:
@@ -307,11 +323,6 @@ class SystemDataset:
                     f"{sorted(placed ^ expected)[:5]}... inconsistently with "
                     f"num_nodes={self.num_nodes}"
                 )
-        # Normalise record ordering once, at construction.
-        object.__setattr__(self, "failures", tuple(sorted(self.failures)))
-        object.__setattr__(self, "maintenance", tuple(sorted(self.maintenance)))
-        object.__setattr__(self, "jobs", tuple(sorted(self.jobs)))
-        object.__setattr__(self, "temperatures", tuple(sorted(self.temperatures)))
 
     @cached_property
     def failure_table(self) -> FailureTable:
@@ -350,10 +361,9 @@ class SystemDataset:
     def job_columns(self) -> JobColumns:
         """The job log as :class:`JobColumns` (built once, then memoized).
 
-        A plain method with a manual instance-dict memo rather than a
-        ``cached_property`` so archive subclasses can override it to
-        serve columns straight from their stored arrays without
-        materializing record objects first.
+        The memo lives in the instance dict under ``_job_columns``, where
+        :class:`ColumnarSystemDataset` keeps the columns it was built
+        from.
         """
         cols = self.__dict__.get("_job_columns")
         if cols is None:
@@ -362,11 +372,8 @@ class SystemDataset:
         return cols
 
     def temperature_columns(self) -> TemperatureColumns:
-        """The temperature log as :class:`TemperatureColumns` (memoized).
-
-        Overridable by archive subclasses the same way as
-        :meth:`job_columns`.
-        """
+        """The temperature log as :class:`TemperatureColumns` (memoized
+        under ``_temperature_columns``, like :meth:`job_columns`)."""
         cols = self.__dict__.get("_temperature_columns")
         if cols is None:
             cols = TemperatureColumns.from_records(self.temperatures)
@@ -387,6 +394,84 @@ class SystemDataset:
     def has_layout(self) -> bool:
         """True if a machine layout is available (group-1 systems)."""
         return self.layout is not None
+
+
+class ColumnarSystemDataset(SystemDataset):
+    """A :class:`SystemDataset` that holds its job and temperature logs as
+    columns and builds the record tuples on first access.
+
+    Both archive loaders build it: the CSV reader
+    (:func:`~repro.records.io.load_archive`) and the archive cache
+    (:func:`~repro.simulate.cache.load_cached`).  The columns sit in the
+    memos of :meth:`~SystemDataset.job_columns` and
+    :meth:`~SystemDataset.temperature_columns`, so the analyses read them
+    without ever creating a record; ``.jobs`` / ``.temperatures``
+    materialize the records (in the same order) once, on first access.
+
+    The ``jobs`` / ``temperatures`` properties shadow the dataclass
+    fields.  Their setters store a record tuple and drop the stale
+    columns, so ``dataclasses.replace`` and the generated frozen
+    ``__init__`` (which assign fields via ``object.__setattr__``) keep
+    working; plain attribute assignment still raises
+    ``FrozenInstanceError``.
+    """
+
+    @classmethod
+    def from_columns(
+        cls,
+        jobs: JobColumns,
+        temperatures: TemperatureColumns,
+        **fields,
+    ) -> "ColumnarSystemDataset":
+        """Build from columns in record order plus the other dataclass
+        fields (record tuples already sorted).
+
+        Skips ``__post_init__``: callers pass checked logs, or call
+        :meth:`~SystemDataset.validate` themselves.
+        """
+        ds = object.__new__(cls)
+        ds.__dict__.update(
+            fields, _job_columns=jobs, _temperature_columns=temperatures
+        )
+        return ds
+
+    @property
+    def jobs(self) -> tuple[JobRecord, ...]:
+        records = self.__dict__.get("_jobs")
+        if records is None:
+            records = self.__dict__["_job_columns"].to_records(self.system_id)
+            self.__dict__["_jobs"] = records
+        return records
+
+    @jobs.setter
+    def jobs(self, value) -> None:
+        self.__dict__["_jobs"] = tuple(value)
+        self.__dict__.pop("_job_columns", None)
+
+    @property
+    def temperatures(self) -> tuple[TemperatureReading, ...]:
+        records = self.__dict__.get("_temperatures")
+        if records is None:
+            records = self.__dict__["_temperature_columns"].to_records(
+                self.system_id
+            )
+            self.__dict__["_temperatures"] = records
+        return records
+
+    @temperatures.setter
+    def temperatures(self, value) -> None:
+        self.__dict__["_temperatures"] = tuple(value)
+        self.__dict__.pop("_temperature_columns", None)
+
+    @property
+    def has_usage(self) -> bool:
+        """Job-log presence without materializing the record tuple."""
+        return len(self.job_columns()) > 0
+
+    @property
+    def has_temperature(self) -> bool:
+        """Temperature presence without materializing the record tuple."""
+        return len(self.temperature_columns()) > 0
 
 
 class Archive:

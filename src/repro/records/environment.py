@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,8 +50,10 @@ class TemperatureReading:
     celsius: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise EnvironmentRecordError(f"time must be >= 0, got {self.time}")
+        if not math.isfinite(self.time) or self.time < 0:
+            raise EnvironmentRecordError(
+                f"time must be finite and >= 0, got {self.time}"
+            )
         if self.node_id < 0:
             raise EnvironmentRecordError(f"node_id must be >= 0, got {self.node_id}")
         if not math.isfinite(self.celsius):
@@ -92,6 +95,34 @@ class TemperatureColumns:
             node_ids=np.array([r.node_id for r in readings], dtype=np.int64),
             celsius=np.array([r.celsius for r in readings], dtype=float),
         )
+
+    def to_records(self, system_id: int) -> tuple[TemperatureReading, ...]:
+        """The :class:`TemperatureReading` of every row, in row order."""
+        return tuple(
+            map(
+                TemperatureReading,
+                self.times.tolist(),
+                repeat(system_id),
+                self.node_ids.tolist(),
+                self.celsius.tolist(),
+            )
+        )
+
+    def take(self, rows: np.ndarray) -> "TemperatureColumns":
+        """The given rows, in the given order."""
+        return TemperatureColumns(
+            times=self.times[rows],
+            node_ids=self.node_ids[rows],
+            celsius=self.celsius[rows],
+        )
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the rows :class:`TemperatureReading` would reject (its
+        ``__post_init__`` rules, vectorized; keep the two in step)."""
+        times, celsius = self.times, self.celsius
+        bad = ~(np.isfinite(times) & np.isfinite(celsius)) | (times < 0)
+        bad |= (self.node_ids < 0) | (celsius < -50.0) | (celsius > 150.0)
+        return bad
 
 
 @dataclass(frozen=True, slots=True)

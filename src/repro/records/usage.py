@@ -17,6 +17,7 @@ application bugs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -59,6 +60,15 @@ class JobRecord:
     failed_due_to_node: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.submit_time)
+            and math.isfinite(self.dispatch_time)
+            and math.isfinite(self.end_time)
+        ):
+            raise UsageError(
+                f"job times must be finite, got submit {self.submit_time}, "
+                f"dispatch {self.dispatch_time}, end {self.end_time}"
+            )
         if self.submit_time < 0:
             raise UsageError(f"submit_time must be >= 0, got {self.submit_time}")
         if self.dispatch_time < self.submit_time:
@@ -99,23 +109,25 @@ class JobColumns:
 
     The columnar twin of a ``list[JobRecord]``: the usage summarizers
     accept either, and the columnar form skips materializing hundreds of
-    thousands of record objects when the archive cache already stores
-    the log as arrays.  Node assignments are ragged, so they are kept in
+    thousands of record objects when the log is read from CSV or from
+    the archive cache.  Node assignments are ragged, so they are kept in
     CSR layout: job ``i`` ran on ``node_ids[node_offsets[i]:
     node_offsets[i + 1]]``.
 
     Attributes:
+        submit_times: per-job submission time (days).
         dispatch_times: per-job dispatch time (days).
         end_times: per-job end time (days).
         user_ids: per-job submitting user.
         num_processors: per-job processor count.
         failed_due_to_node: per-job node-caused-failure flag.
-        job_ids: per-job identifier (used in error messages).
+        job_ids: per-job identifier.
         node_offsets: CSR offsets into ``node_ids``; length is the job
             count plus one.
         node_ids: concatenated node assignments of all jobs.
     """
 
+    submit_times: np.ndarray
     dispatch_times: np.ndarray
     end_times: np.ndarray
     user_ids: np.ndarray
@@ -126,33 +138,108 @@ class JobColumns:
     node_ids: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.dispatch_times.size)
+        return int(self.submit_times.size)
 
     @classmethod
     def from_records(cls, jobs: Sequence[JobRecord]) -> "JobColumns":
         """Build columns from record objects, preserving job order."""
-        offsets = np.zeros(len(jobs) + 1, dtype=np.int64)
-        for i, job in enumerate(jobs):
-            offsets[i + 1] = offsets[i] + len(job.node_ids)
-        nodes = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i, job in enumerate(jobs):
-            nodes[offsets[i] : offsets[i + 1]] = job.node_ids
-        return cls(
-            dispatch_times=np.array(
-                [j.dispatch_time for j in jobs], dtype=float
-            ),
-            end_times=np.array([j.end_time for j in jobs], dtype=float),
-            user_ids=np.array([j.user_id for j in jobs], dtype=np.int64),
-            num_processors=np.array(
-                [j.num_processors for j in jobs], dtype=np.int64
-            ),
-            failed_due_to_node=np.array(
-                [j.failed_due_to_node for j in jobs], dtype=bool
-            ),
-            job_ids=np.array([j.job_id for j in jobs], dtype=np.int64),
-            node_offsets=offsets,
-            node_ids=nodes,
+        n = len(jobs)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((len(j.node_ids) for j in jobs), np.int64, n),
+            out=offsets[1:],
         )
+        return cls(
+            submit_times=np.fromiter((j.submit_time for j in jobs), float, n),
+            dispatch_times=np.fromiter((j.dispatch_time for j in jobs), float, n),
+            end_times=np.fromiter((j.end_time for j in jobs), float, n),
+            user_ids=np.fromiter((j.user_id for j in jobs), np.int64, n),
+            num_processors=np.fromiter(
+                (j.num_processors for j in jobs), np.int64, n
+            ),
+            failed_due_to_node=np.fromiter(
+                (j.failed_due_to_node for j in jobs), bool, n
+            ),
+            job_ids=np.fromiter((j.job_id for j in jobs), np.int64, n),
+            node_offsets=offsets,
+            node_ids=np.fromiter(
+                (node for j in jobs for node in j.node_ids),
+                np.int64,
+                int(offsets[-1]),
+            ),
+        )
+
+    def to_records(self, system_id: int) -> tuple[JobRecord, ...]:
+        """The :class:`JobRecord` of every row, in row order."""
+        submit = self.submit_times.tolist()
+        dispatch = self.dispatch_times.tolist()
+        end = self.end_times.tolist()
+        user = self.user_ids.tolist()
+        nprocs = self.num_processors.tolist()
+        failed = self.failed_due_to_node.tolist()
+        job_id = self.job_ids.tolist()
+        offsets = self.node_offsets.tolist()
+        nodes = self.node_ids.tolist()
+        return tuple(
+            JobRecord(
+                submit_time=submit[i],
+                system_id=system_id,
+                job_id=job_id[i],
+                dispatch_time=dispatch[i],
+                end_time=end[i],
+                user_id=user[i],
+                num_processors=nprocs[i],
+                node_ids=tuple(nodes[offsets[i] : offsets[i + 1]]),
+                failed_due_to_node=failed[i],
+            )
+            for i in range(len(submit))
+        )
+
+    def take(self, rows: np.ndarray) -> "JobColumns":
+        """The given rows in the given order; node lists follow their jobs."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.diff(self.node_offsets)[rows]
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # Position k of the new node array is node (k - offsets[row]) of
+        # its job's old slice.
+        source = np.repeat(self.node_offsets[rows] - offsets[:-1], counts)
+        source += np.arange(offsets[-1], dtype=np.int64)
+        return JobColumns(
+            submit_times=self.submit_times[rows],
+            dispatch_times=self.dispatch_times[rows],
+            end_times=self.end_times[rows],
+            user_ids=self.user_ids[rows],
+            num_processors=self.num_processors[rows],
+            failed_due_to_node=self.failed_due_to_node[rows],
+            job_ids=self.job_ids[rows],
+            node_offsets=offsets,
+            node_ids=self.node_ids[source],
+        )
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the rows :class:`JobRecord` would reject.
+
+        The record's ``__post_init__`` rules, vectorized: keep the two in
+        step, so a flagged row's record raises the typed error that
+        explains it.
+        """
+        submit, dispatch, end = (
+            self.submit_times,
+            self.dispatch_times,
+            self.end_times,
+        )
+        counts = np.diff(self.node_offsets)
+        bad = ~(np.isfinite(submit) & np.isfinite(dispatch) & np.isfinite(end))
+        bad |= (submit < 0) | (dispatch < submit) | (end < dispatch)
+        bad |= (self.num_processors < 1) | (counts < 1)
+        job = np.repeat(np.arange(len(self), dtype=np.int64), counts)
+        bad[job[self.node_ids < 0]] = True
+        order = np.lexsort((self.node_ids, job))
+        nodes, job = self.node_ids[order], job[order]
+        repeated = (nodes[1:] == nodes[:-1]) & (job[1:] == job[:-1])
+        bad[job[1:][repeated]] = True
+        return bad
 
 
 @dataclass(frozen=True, slots=True)

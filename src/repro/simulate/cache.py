@@ -18,7 +18,7 @@ disk:
 * the bulky job and temperature logs are stored as flat numpy columns
   and materialised lazily on first access, so a warm load costs a few
   array reads instead of unpickling hundreds of thousands of record
-  objects (see :class:`_LazyColumnarSystem`);
+  objects (see :class:`~repro.records.dataset.ColumnarSystemDataset`);
 * loads are corruption-tolerant for the *specific* I/O and
   deserialization errors a bad entry can raise (see ``_LOAD_ERRORS`` /
   ``_DECODE_ERRORS``): such an entry is treated as a miss (and deleted
@@ -42,11 +42,9 @@ import pickle
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from ..records.dataset import Archive, SystemDataset
-from ..records.environment import TemperatureColumns, TemperatureReading
-from ..records.usage import JobColumns, JobRecord
+from ..records.dataset import Archive, ColumnarSystemDataset, SystemDataset
+from ..records.environment import TemperatureColumns
+from ..records.usage import JobColumns
 from ..telemetry import counter_add, span
 from .archive import make_archive
 from .config import ArchiveConfig
@@ -156,156 +154,17 @@ def cache_path(config: ArchiveConfig, directory: Path | None = None) -> Path:
 # An archive's bulk is its job and temperature logs: hundreds of
 # thousands of small record objects whose one-by-one unpickling costs as
 # much as regenerating them.  The cache therefore stores those two logs
-# as flat numpy columns and materialises the record tuples lazily on
-# first access -- a warm load deserialises a handful of arrays, and
-# analyses that never touch ``ds.jobs`` / ``ds.temperatures`` (most of
-# them: the window engine runs off the failure log) never pay for them.
-
-
-class _LazyColumnarSystem(SystemDataset):
-    """A :class:`SystemDataset` decoded from columnar cache payload.
-
-    Job and temperature logs live as numpy columns in the instance dict
-    and materialise into the usual record tuples on first attribute
-    access (the properties shadow the dataclass fields).  Constructed
-    only by :func:`_decode_system` via ``__new__``: the payload was
-    validated when the original dataset was built, so ``__post_init__``
-    is deliberately skipped.
-
-    The properties have setters (storing straight into the instance
-    dict) so that ``dataclasses.replace`` and the generated frozen
-    ``__init__`` -- which assign fields via ``object.__setattr__`` --
-    keep working on instances of this class; normal attribute assignment
-    still raises ``FrozenInstanceError`` through the dataclass
-    ``__setattr__``.
-    """
-
-    @property
-    def jobs(self) -> tuple[JobRecord, ...]:
-        cached = self.__dict__.get("_jobs")
-        if cached is None:
-            c = self.__dict__["_job_cols"]
-            submit = c["submit"].tolist()
-            job_id = c["job_id"].tolist()
-            dispatch = c["dispatch"].tolist()
-            end = c["end"].tolist()
-            user = c["user"].tolist()
-            nprocs = c["nprocs"].tolist()
-            failed = c["failed"].tolist()
-            offsets = c["offsets"].tolist()
-            nodes = c["nodes"].tolist()
-            sid = self.system_id
-            cached = tuple(
-                JobRecord(
-                    submit_time=submit[i],
-                    system_id=sid,
-                    job_id=job_id[i],
-                    dispatch_time=dispatch[i],
-                    end_time=end[i],
-                    user_id=user[i],
-                    num_processors=nprocs[i],
-                    node_ids=tuple(nodes[offsets[i] : offsets[i + 1]]),
-                    failed_due_to_node=failed[i],
-                )
-                for i in range(len(submit))
-            )
-            self.__dict__["_jobs"] = cached
-        return cached
-
-    @jobs.setter
-    def jobs(self, value) -> None:
-        self.__dict__["_jobs"] = tuple(value)
-
-    @property
-    def temperatures(self) -> tuple[TemperatureReading, ...]:
-        cached = self.__dict__.get("_temperatures")
-        if cached is None:
-            from itertools import repeat
-
-            c = self.__dict__["_temp_cols"]
-            cached = tuple(
-                map(
-                    TemperatureReading,
-                    c["time"].tolist(),
-                    repeat(self.system_id),
-                    c["node"].tolist(),
-                    c["celsius"].tolist(),
-                )
-            )
-            self.__dict__["_temperatures"] = cached
-        return cached
-
-    @temperatures.setter
-    def temperatures(self, value) -> None:
-        self.__dict__["_temperatures"] = tuple(value)
-
-    def job_columns(self) -> JobColumns:
-        """Serve job columns straight from the stored payload arrays.
-
-        Falls back to the record-based base implementation when the job
-        tuple was replaced via the setter (``dataclasses.replace``) or
-        already materialised -- the stored columns might then be stale
-        or redundant.
-        """
-        if "_jobs" in self.__dict__ or "_job_cols" not in self.__dict__:
-            return super().job_columns()
-        cols = self.__dict__.get("_job_columns")
-        if cols is None:
-            c = self.__dict__["_job_cols"]
-            cols = JobColumns(
-                dispatch_times=c["dispatch"],
-                end_times=c["end"],
-                user_ids=c["user"],
-                num_processors=c["nprocs"],
-                failed_due_to_node=c["failed"],
-                job_ids=c["job_id"],
-                node_offsets=c["offsets"],
-                node_ids=c["nodes"],
-            )
-            self.__dict__["_job_columns"] = cols
-        return cols
-
-    def temperature_columns(self) -> TemperatureColumns:
-        """Serve temperature columns straight from the payload arrays."""
-        if "_temperatures" in self.__dict__ or "_temp_cols" not in self.__dict__:
-            return super().temperature_columns()
-        cols = self.__dict__.get("_temperature_columns")
-        if cols is None:
-            c = self.__dict__["_temp_cols"]
-            cols = TemperatureColumns(
-                times=c["time"], node_ids=c["node"], celsius=c["celsius"]
-            )
-            self.__dict__["_temperature_columns"] = cols
-        return cols
-
-    @property
-    def has_usage(self) -> bool:
-        """Job-log presence without materialising the record tuple."""
-        jobs = self.__dict__.get("_jobs")
-        if jobs is not None:
-            return len(jobs) > 0
-        return int(self.__dict__["_job_cols"]["job_id"].size) > 0
-
-    @property
-    def has_temperature(self) -> bool:
-        """Temperature presence without materialising the record tuple."""
-        temps = self.__dict__.get("_temperatures")
-        if temps is not None:
-            return len(temps) > 0
-        return int(self.__dict__["_temp_cols"]["time"].size) > 0
+# as flat numpy columns and decodes them into a ColumnarSystemDataset,
+# which materialises the record tuples only on first access -- a warm
+# load deserialises a handful of arrays, and analyses that read the
+# logs through ``job_columns()`` / ``temperature_columns()`` never pay
+# for records.
 
 
 def _encode_system(ds: SystemDataset) -> dict:
     """Reduce one system to a columnar cache payload."""
-    jobs = ds.jobs
-    n_jobs = len(jobs)
-    node_counts = np.fromiter(
-        (len(j.node_ids) for j in jobs), np.int64, n_jobs
-    )
-    offsets = np.zeros(n_jobs + 1, dtype=np.int64)
-    np.cumsum(node_counts, out=offsets[1:])
-    temps = ds.temperatures
-    n_temps = len(temps)
+    jobs = ds.job_columns()
+    temps = ds.temperature_columns()
     return {
         "system_id": ds.system_id,
         "group": ds.group,
@@ -316,53 +175,58 @@ def _encode_system(ds: SystemDataset) -> dict:
         "failures": ds.failures,
         "maintenance": ds.maintenance,
         "job_cols": {
-            "submit": np.fromiter((j.submit_time for j in jobs), float, n_jobs),
-            "job_id": np.fromiter((j.job_id for j in jobs), np.int64, n_jobs),
-            "dispatch": np.fromiter(
-                (j.dispatch_time for j in jobs), float, n_jobs
-            ),
-            "end": np.fromiter((j.end_time for j in jobs), float, n_jobs),
-            "user": np.fromiter((j.user_id for j in jobs), np.int64, n_jobs),
-            "nprocs": np.fromiter(
-                (j.num_processors for j in jobs), np.int64, n_jobs
-            ),
-            "failed": np.fromiter(
-                (j.failed_due_to_node for j in jobs), bool, n_jobs
-            ),
-            "offsets": offsets,
-            "nodes": np.fromiter(
-                (n for j in jobs for n in j.node_ids),
-                np.int64,
-                int(offsets[-1]),
-            ),
+            "submit": jobs.submit_times,
+            "job_id": jobs.job_ids,
+            "dispatch": jobs.dispatch_times,
+            "end": jobs.end_times,
+            "user": jobs.user_ids,
+            "nprocs": jobs.num_processors,
+            "failed": jobs.failed_due_to_node,
+            "offsets": jobs.node_offsets,
+            "nodes": jobs.node_ids,
         },
         "temp_cols": {
-            "time": np.fromiter((t.time for t in temps), float, n_temps),
-            "node": np.fromiter((t.node_id for t in temps), np.int64, n_temps),
-            "celsius": np.fromiter(
-                (t.celsius for t in temps), float, n_temps
-            ),
+            "time": temps.times,
+            "node": temps.node_ids,
+            "celsius": temps.celsius,
         },
     }
 
 
 def _decode_system(payload: dict) -> SystemDataset:
-    ds = object.__new__(_LazyColumnarSystem)
-    d = ds.__dict__
-    for name in (
-        "system_id",
-        "group",
-        "num_nodes",
-        "processors_per_node",
-        "period",
-        "layout",
-        "failures",
-        "maintenance",
-    ):
-        d[name] = payload[name]
-    d["_job_cols"] = payload["job_cols"]
-    d["_temp_cols"] = payload["temp_cols"]
-    return ds
+    """Rebuild one system from its payload.  The payload was checked when
+    the original dataset was built, so it is not validated again."""
+    jobs = payload["job_cols"]
+    temps = payload["temp_cols"]
+    return ColumnarSystemDataset.from_columns(
+        jobs=JobColumns(
+            submit_times=jobs["submit"],
+            dispatch_times=jobs["dispatch"],
+            end_times=jobs["end"],
+            user_ids=jobs["user"],
+            num_processors=jobs["nprocs"],
+            failed_due_to_node=jobs["failed"],
+            job_ids=jobs["job_id"],
+            node_offsets=jobs["offsets"],
+            node_ids=jobs["nodes"],
+        ),
+        temperatures=TemperatureColumns(
+            times=temps["time"], node_ids=temps["node"], celsius=temps["celsius"]
+        ),
+        **{
+            name: payload[name]
+            for name in (
+                "system_id",
+                "group",
+                "num_nodes",
+                "processors_per_node",
+                "period",
+                "layout",
+                "failures",
+                "maintenance",
+            )
+        },
+    )
 
 
 def _encode_archive(archive: Archive) -> dict:

@@ -35,6 +35,11 @@ class TestTemperatureReading:
         with pytest.raises(EnvironmentRecordError):
             reading(time=-1.0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(EnvironmentRecordError, match="finite"):
+            reading(time=time)
+
 
 class TestSummaries:
     def test_aggregates(self):

@@ -65,6 +65,19 @@ class TestJobRecord:
         with pytest.raises(UsageError):
             job(procs=0)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            {"submit": float("inf")},
+            {"submit": float("nan")},
+            {"dispatch": float("nan")},
+            {"end": float("inf")},
+        ],
+    )
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(UsageError, match="finite"):
+            job(**times)
+
     def test_zero_runtime_allowed(self):
         j = job(submit=0.0, dispatch=1.0, end=1.0)
         assert j.runtime_days == 0.0

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..records.dataset import SystemDataset
+from ..records.dataset import FailureTable, SystemDataset
 from ..records.taxonomy import Category, all_categories
 from ..stats.descriptive import SampleSummary, summarize
 from ..stats.distfit import DistFitError, DistributionFit, best_fit
@@ -47,26 +47,43 @@ class RepairTimeResult:
         return self.summary.mean
 
 
-def _repair_hours(
-    systems: Sequence[SystemDataset], category: Category | None
-) -> np.ndarray:
-    hours = [
-        f.downtime_hours
-        for ds in systems
-        for f in ds.failures
-        if f.downtime_hours > 0 and (category is None or f.category is category)
-    ]
-    return np.asarray(hours, dtype=float)
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + v[0] + v[1] + ...`` rounded left to right, like a loop."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def repair_times(
-    systems: Sequence[SystemDataset],
-    category: Category | None = None,
+@dataclass(frozen=True, slots=True)
+class _DowntimeGroups:
+    """The failure logs' repair hours, split by root cause in one pass.
+
+    Attributes:
+        hours: positive repair hours per category, in record order
+            (systems in the given order); ``None`` maps to all of them.
+        totals: summed repair hours per category, in record order.
+    """
+
+    hours: dict[Category | None, np.ndarray]
+    totals: dict[Category, float]
+
+
+def _group_downtime(systems: Sequence[SystemDataset]) -> _DowntimeGroups:
+    tables = [ds.failure_table for ds in systems]
+    codes = np.concatenate([np.empty(0, np.int64), *(t.category_codes for t in tables)])
+    hours = np.concatenate([np.empty(0), *(t.downtime_hours for t in tables)])
+    positive = hours > 0
+    by_cat: dict[Category | None, np.ndarray] = {None: hours[positive]}
+    totals = {}
+    for cat in all_categories():
+        of_cat = codes == FailureTable.category_code(cat)
+        by_cat[cat] = hours[of_cat & positive]
+        totals[cat] = _sequential_sum(hours[of_cat])
+    return _DowntimeGroups(hours=by_cat, totals=totals)
+
+
+def _repair_result(
+    groups: _DowntimeGroups, category: Category | None
 ) -> RepairTimeResult:
-    """Repair-time statistics for one category (or all failures)."""
-    if not systems:
-        raise DowntimeAnalysisError("need at least one system")
-    hours = _repair_hours(systems, category)
+    hours = groups.hours[category]
     if hours.size == 0:
         raise DowntimeAnalysisError(
             f"no repair times recorded for {category or 'any category'}"
@@ -82,19 +99,41 @@ def repair_times(
     )
 
 
-def repair_times_by_category(
+def repair_times(
     systems: Sequence[SystemDataset],
-) -> dict[Category, RepairTimeResult]:
-    """Per-category repair-time statistics (categories with data only)."""
+    category: Category | None = None,
+) -> RepairTimeResult:
+    """Repair-time statistics for one category (or all failures)."""
+    if not systems:
+        raise DowntimeAnalysisError("need at least one system")
+    return _repair_result(_group_downtime(systems), category)
+
+
+def _by_category(groups: _DowntimeGroups) -> dict[Category, RepairTimeResult]:
     out = {}
     for cat in all_categories():
         try:
-            out[cat] = repair_times(systems, cat)
+            out[cat] = _repair_result(groups, cat)
         except DowntimeAnalysisError:
             continue
     if not out:
         raise DowntimeAnalysisError("no repair times recorded at all")
     return out
+
+
+def repair_times_by_category(
+    systems: Sequence[SystemDataset],
+) -> dict[Category, RepairTimeResult]:
+    """Per-category repair-time statistics (categories with data only)."""
+    return _by_category(_group_downtime(systems))
+
+
+def _shares(groups: _DowntimeGroups) -> Mapping[Category, float]:
+    totals = groups.totals
+    grand = sum(totals.values())
+    if grand <= 0:
+        raise DowntimeAnalysisError("no downtime recorded")
+    return {cat: totals[cat] / grand for cat in totals}
 
 
 def downtime_share_by_category(
@@ -105,14 +144,7 @@ def downtime_share_by_category(
     A category can dominate downtime without dominating counts (few but
     long outages) -- the distinction operators budget by.
     """
-    totals = {cat: 0.0 for cat in all_categories()}
-    for ds in systems:
-        for f in ds.failures:
-            totals[f.category] += f.downtime_hours
-    grand = sum(totals.values())
-    if grand <= 0:
-        raise DowntimeAnalysisError("no downtime recorded")
-    return {cat: totals[cat] / grand for cat in totals}
+    return _shares(_group_downtime(systems))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +181,7 @@ class AvailabilityResult:
 def availability(ds: SystemDataset) -> AvailabilityResult:
     """Availability accounting for one system."""
     node_hours = ds.num_nodes * ds.period.length * 24.0
-    downtime = float(sum(f.downtime_hours for f in ds.failures))
+    downtime = _sequential_sum(ds.failure_table.downtime_hours)
     maintenance = float(sum(m.duration_hours for m in ds.maintenance))
     if node_hours <= 0:
         raise DowntimeAnalysisError("empty observation period")
@@ -165,8 +197,9 @@ def render_downtime_report(systems: Sequence[SystemDataset]) -> str:
     """Text table: MTTR and downtime share per category, availability."""
     lines = ["== Companion: repair times and availability =="]
     try:
-        by_cat = repair_times_by_category(systems)
-        shares = downtime_share_by_category(systems)
+        groups = _group_downtime(systems)
+        by_cat = _by_category(groups)
+        shares = _shares(groups)
     except DowntimeAnalysisError as exc:
         return "\n".join([*lines, str(exc)])
     lines.append(

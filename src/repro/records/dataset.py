@@ -135,7 +135,11 @@ class FailureTable:
     * ``times`` -- float64, days;
     * ``node_ids`` -- int64;
     * ``category_codes`` -- int64 codes (see :meth:`category_code`);
-    * ``subtype_codes`` -- int64 codes, ``-1`` when no subtype is recorded.
+    * ``subtype_codes`` -- int64 codes, ``-1`` when no subtype is recorded;
+    * ``downtime_hours`` -- float64 repair hours.
+
+    A :class:`SystemDataset` keeps its failures sorted, so its table rows
+    are its failure records in order.
     """
 
     def __init__(
@@ -162,6 +166,9 @@ class FailureTable:
             ),
             dtype=np.int64,
             count=n,
+        )
+        self.downtime_hours = np.fromiter(
+            (f.downtime_hours for f in ordered), dtype=float, count=n
         )
 
     def __len__(self) -> int:

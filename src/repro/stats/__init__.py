@@ -4,7 +4,9 @@ Implements from scratch (on numpy/scipy special functions): Wilson and
 Wald binomial intervals, pooled two-sample z-tests, chi-square equal-rate
 and homogeneity tests, Pearson/Spearman correlation with t-tests,
 autocorrelation, Poisson and negative-binomial GLMs via IRLS,
-likelihood-ratio ANOVA, and percentile-bootstrap intervals.
+likelihood-ratio ANOVA, percentile-bootstrap intervals, and exact
+maximum-likelihood fits of the exponential, Weibull, lognormal and gamma
+families with KS goodness of fit.
 """
 
 from .anova import AnovaError, AnovaResult, likelihood_ratio_test, saturated_vs_common_rate

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
-from scipy.special import gammaln
+from scipy.special import chdtrc, gammaln
 
 from .glm import GLMResult
 
@@ -58,7 +57,7 @@ def _finalize(
     if dof < 1:
         raise AnovaError("the models do not differ in parameter count")
     statistic = max(0.0, 2.0 * (ll_full - ll_reduced))
-    p_value = float(_scipy_stats.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return AnovaResult(
         statistic, dof, p_value, p_value < alpha, alpha, ll_full, ll_reduced
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
 
 class CorrelationError(ValueError):
@@ -66,7 +67,7 @@ def _t_test_for_r(r: float, n: int, alpha: float) -> CorrelationResult:
     if abs(r) >= 1.0:
         return CorrelationResult(r, n, float("inf"), 0.0, True, alpha)
     t = r * math.sqrt(dof / (1.0 - r * r))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), dof))
+    p = 2.0 * float(stdtr(dof, -abs(t)))
     return CorrelationResult(r, n, t, p, p < alpha, alpha)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr, ndtri
 
 
 class ProportionError(ValueError):
@@ -40,7 +40,7 @@ def _check_counts(successes: int, trials: int) -> None:
 def _z_for(confidence: float) -> float:
     if not (0.0 < confidence < 1.0):
         raise ProportionError(f"confidence must be in (0, 1), got {confidence}")
-    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    return float(ndtri(0.5 + confidence / 2.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +189,7 @@ def two_sample_z_test(
         return TwoSampleResult(float("nan"), 1.0, False, alpha, factor)
     se = math.sqrt(pooled * (1 - pooled) * (1 / trials1 + 1 / trials2))
     z = (p1 - p2) / se
-    p_value = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    p_value = 2.0 * float(ndtr(-abs(z)))
     return TwoSampleResult(z, p_value, p_value < alpha, alpha, factor)
 
 

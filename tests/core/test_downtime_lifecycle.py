@@ -19,7 +19,8 @@ from repro.core.lifecycle import (
 )
 from repro.records.dataset import HardwareGroup, SystemDataset
 from repro.records.failure import FailureRecord
-from repro.records.taxonomy import Category
+from repro.records.taxonomy import Category, all_categories
+from repro.stats.descriptive import summarize
 from repro.records.timeutil import ObservationPeriod
 
 
@@ -72,6 +73,45 @@ class TestRepairTimes:
         # All repair-time laws in the generator are lognormal.
         fit = by_cat[Category.HARDWARE].fitted
         assert fit is not None and fit.family == "lognormal"
+
+
+    def test_near_constant_sample_has_no_fit(self):
+        # The gamma shape equation has no usable root here; the fit is
+        # dropped rather than raising out of the report.
+        hours = [1.0] * 9 + [1.0 + 1e-12]
+        ds = make_system([fail(float(i), hours=h) for i, h in enumerate(hours)])
+        assert repair_times([ds]).fitted is None
+
+
+class TestSinglePass:
+    """The one grouping pass equals a filtered pass per category."""
+
+    def test_repair_samples_match_per_category_passes(self, medium_archive):
+        systems = list(medium_archive)
+
+        def hours(cat):
+            return np.asarray([
+                f.downtime_hours
+                for ds in systems
+                for f in ds.failures
+                if f.downtime_hours > 0 and (cat is None or f.category is cat)
+            ])
+
+        by_cat = repair_times_by_category(systems)
+        assert list(by_cat) == [c for c in all_categories() if hours(c).size]
+        for cat, result in by_cat.items():
+            assert result.summary == summarize(hours(cat))
+        assert repair_times(systems).summary == summarize(hours(None))
+
+    def test_shares_match_per_record_sums(self, medium_archive):
+        systems = list(medium_archive)
+        totals = {cat: 0.0 for cat in all_categories()}
+        for ds in systems:
+            for f in ds.failures:
+                totals[f.category] += f.downtime_hours
+        grand = sum(totals.values())
+        expected = {cat: totals[cat] / grand for cat in totals}
+        assert downtime_share_by_category(systems) == expected
 
 
 class TestDowntimeShare:

@@ -10,7 +10,8 @@ from repro.core.interarrival import (
     render_interarrival_report,
     simultaneity_share,
 )
-from repro.records.dataset import HardwareGroup, SystemDataset
+from repro.core.report import render_interarrival
+from repro.records.dataset import Archive, HardwareGroup, SystemDataset
 from repro.records.failure import FailureRecord
 from repro.records.taxonomy import Category
 from repro.records.timeutil import ObservationPeriod
@@ -97,3 +98,15 @@ class TestFitModel:
         ds = system_with_times([x for x in times if x < 400.0])
         model = fit_interarrival_model(ds)
         assert model.clustered
+
+    def test_evenly_spaced_failures_raise_typed_error(self):
+        # Constant gaps leave the two-parameter families nothing to fit.
+        ds = system_with_times(1.0 + 5.0 * np.arange(20))
+        with pytest.raises(InterArrivalError, match="no spread"):
+            fit_interarrival_model(ds)
+
+    def test_evenly_spaced_system_renders_error_line(self):
+        ds = system_with_times(1.0 + 5.0 * np.arange(20))
+        text = render_interarrival(Archive([ds]))
+        assert "system 1: weibull fit needs distinct values" in text.splitlines()[1]
+        assert text.splitlines()[-1] == "no system has enough failures to model"

@@ -19,10 +19,9 @@ how *fast* the pipeline is, writing the measurements to
 * **analysis** -- one representative window analysis (the Section
   III-A.3 pairwise matrix over group-1), first on cold per-category
   event indices, then warm;
-* **report** -- the full combined report five ways: per-cell (analysis
-  cache disabled, the pre-batching code path), cold (batched kernels,
-  empty cache), warm (fully memoized), parallel (section pool) and
-  traced (warm run with span collection on).  All five texts are
+* **report** -- the full combined report four ways: cold (empty
+  analysis cache), warm (fully memoized), parallel (section pool) and
+  traced (warm run with span collection on).  All four texts are
   asserted byte-identical before timings are recorded;
 * **telemetry no-op** -- the disabled span+counter fast path, timed
   before ``REPRO_TELEMETRY`` is applied and guarded by
@@ -61,7 +60,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from repro import telemetry
-from repro.core.cache import cache_disabled
 from repro.core.correlations import pairwise_matrix
 from repro.core.report import full_report
 from repro.records.dataset import HardwareGroup
@@ -181,11 +179,6 @@ def run(args: argparse.Namespace) -> dict:
             assert loaded is not None, "cache round-trip failed"
             return loaded
 
-        percell_archive = fresh_archive()
-        with cache_disabled():
-            timings["report_percell_s"], percell_text = _timed(
-                lambda: full_report(percell_archive)
-            )
         cold_archive = fresh_archive()
         timings["report_cold_s"], cold_text = _timed(
             lambda: full_report(cold_archive)
@@ -206,10 +199,8 @@ def run(args: argparse.Namespace) -> dict:
                 lambda: full_report(cold_archive)
             )
         assert (
-            percell_text == cold_text == warm_text == parallel_text
-            == traced_text
+            cold_text == warm_text == parallel_text == traced_text
         ), "full_report output differs between cache/parallel/trace variants"
-    print(f"report per-cell:          {timings['report_percell_s']:8.2f} s")
     print(f"report cold cache:        {timings['report_cold_s']:8.2f} s")
     print(f"report warm cache:        {timings['report_warm_s']:8.2f} s")
     print(f"report warm traced:       {timings['report_traced_s']:8.2f} s")
@@ -266,10 +257,6 @@ def run(args: argparse.Namespace) -> dict:
         "warm_vs_cold_speedup": cold_best / max(timings["warm_load_s"], 1e-9),
         "analysis_warm_vs_cold_speedup": timings["analysis_cold_s"]
         / max(timings["analysis_warm_s"], 1e-9),
-        "report_cold_vs_percell_speedup": timings["report_percell_s"]
-        / max(timings["report_cold_s"], 1e-9),
-        "report_warm_vs_percell_speedup": timings["report_percell_s"]
-        / max(timings["report_warm_s"], 1e-9),
         "stream_ingest_eps": stream_events
         / max(timings["stream_replay_s"], 1e-9),
     }
@@ -279,10 +266,6 @@ def run(args: argparse.Namespace) -> dict:
         )
     print(f"warm vs cold speedup:     {derived['warm_vs_cold_speedup']:8.1f}x")
     print(f"stream ingest rate:       {derived['stream_ingest_eps']:8.0f} events/s")
-    print(
-        f"report warm vs per-cell:  "
-        f"{derived['report_warm_vs_percell_speedup']:8.1f}x"
-    )
 
     return {
         "smoke": args.smoke,

@@ -23,7 +23,7 @@ Quickstart::
 """
 
 from . import telemetry
-from .core.cache import cache_disabled, cache_stats, get_cache
+from .core.cache import cache_stats, get_cache
 from .core.report import full_report, profiled_full_report
 from .records.dataset import Archive, HardwareGroup, SystemDataset
 from .records.io import load_archive, save_archive
@@ -44,7 +44,6 @@ __all__ = [
     "Span",
     "SystemDataset",
     "__version__",
-    "cache_disabled",
     "cache_stats",
     "full_report",
     "get_cache",

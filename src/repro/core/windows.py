@@ -19,15 +19,15 @@ Nearly every figure of the paper compares two probabilities:
   recording outages on many nodes at once) do not count as follow-ups of
   each other: the window is the *open-closed* interval ``(t, t + span]``.
 
-Everything here is expressed over plain ``(times, node_ids)`` event
-arrays, so the same engine serves failures, failure subsets (by category
-or subtype) and maintenance events.
+Everything here is expressed over time-sorted event streams
+(:class:`~repro.records.dataset.EventIndex`), so the same engine serves
+failures, failure subsets (by category or subtype) and maintenance
+events.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,225 +117,6 @@ def _check_events(times: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.
         order = np.argsort(times, kind="stable")
         times, nodes = times[order], nodes[order]
     return times, nodes
-
-
-def baseline_counts(
-    target_times: np.ndarray,
-    target_nodes: np.ndarray,
-    num_nodes: int,
-    period: ObservationPeriod,
-    span: Span,
-    node_subset: np.ndarray | None = None,
-) -> Counts:
-    """Tiled-window baseline counts for "a random node in a random window".
-
-    Args:
-        target_times / target_nodes: the qualifying event stream.
-        num_nodes: node count of the system.
-        period: observation period.
-        span: window length.
-        node_subset: restrict the trials (and events) to these nodes --
-            used e.g. for "rest of the nodes" baselines in Section IV.
-
-    Returns:
-        ``Counts(successes=#(node, window) tiles with >= 1 event,
-        trials=#nodes * #windows)``.
-    """
-    if num_nodes < 1:
-        raise WindowAnalysisError(f"num_nodes must be >= 1, got {num_nodes}")
-    counter_add("windows.baseline_cells", 1, path="percell")
-    times, nodes = _check_events(target_times, target_nodes)
-    n_windows = count_windows(period, span)
-    if node_subset is None:
-        n_nodes_at_risk = num_nodes
-    else:
-        node_subset = np.asarray(node_subset, dtype=np.int64)
-        if node_subset.size == 0:
-            raise WindowAnalysisError("node_subset must be non-empty")
-        n_nodes_at_risk = int(np.unique(node_subset).size)
-        keep = np.isin(nodes, node_subset)
-        times, nodes = times[keep], nodes[keep]
-    idx = window_index(times, period, span)
-    valid = idx >= 0
-    # Distinct (node, window) pairs containing at least one event.
-    keys = nodes[valid] * np.int64(n_windows) + idx[valid]
-    successes = int(np.unique(keys).size)
-    return Counts(successes, n_nodes_at_risk * n_windows)
-
-
-def conditional_counts(
-    trigger_times: np.ndarray | None = None,
-    trigger_nodes: np.ndarray | None = None,
-    target_times: np.ndarray | None = None,
-    target_nodes: np.ndarray | None = None,
-    period: ObservationPeriod | None = None,
-    span: Span | None = None,
-    scope: Scope = Scope.NODE,
-    rack_of: np.ndarray | None = None,
-    num_nodes: int | None = None,
-    target_index: EventIndex | None = None,
-    trigger_index: EventIndex | None = None,
-) -> Counts:
-    """Conditional counts at node, rack or system scope.
-
-    The follow-up window is ``(t, t + span]``, open at the trigger time
-    (the trigger itself, and any simultaneous events, never count as
-    their own follow-up).  Triggers with ``t + span > period.end`` are
-    censored out of the trials.
-
-    The unit at risk matches the paper's phrasing "the probability that
-    *a node* fails in the window following ...":
-
-    * NODE scope -- one trial per trigger; success when the trigger's
-      *own* node has a qualifying event in the window.
-    * RACK scope -- one trial per (trigger, other node in the trigger's
-      rack) pair; success when that node has a qualifying event in the
-      window.  Requires ``rack_of``.
-    * SYSTEM scope -- one trial per (trigger, other node of the system)
-      pair; requires ``num_nodes``.
-
-    Counting *pairs* (rather than "any other node fails") is essential:
-    in a 1024-node system some node almost surely fails every week, so
-    the any-node probability saturates at 1 and carries no information,
-    whereas the per-node probability reproduces the paper's 2.04% ->
-    2.68% system-level result.
-
-    Args:
-        trigger_times / trigger_nodes: trigger event stream.
-        target_times / target_nodes: qualifying (target) event stream.
-        period: observation period.
-        span: window length.
-        scope: NODE, RACK or SYSTEM.
-        rack_of: node -> rack id mapping, required for RACK scope.
-        num_nodes: system node count, required for RACK/SYSTEM scope.
-        target_index: pre-built index of the target stream (e.g. from
-            :meth:`repro.records.dataset.FailureTable.events`).  This is
-            the preferred, index-first spelling; passing the redundant
-            ``target_times`` / ``target_nodes`` arrays alongside it is
-            deprecated (they were silently ignored in older releases).
-        trigger_index: pre-built index of the trigger stream; preferred
-            over ``trigger_times`` / ``trigger_nodes`` for the same
-            reason.
-    """
-    if period is None or span is None:
-        raise WindowAnalysisError("period and span are required")
-    counter_add("windows.conditional_cells", 1, path="percell")
-    if trigger_index is not None:
-        if trigger_times is not None or trigger_nodes is not None:
-            warnings.warn(
-                "trigger_times/trigger_nodes are ignored when trigger_index "
-                "is given; pass only trigger_index",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        trig_t, trig_n = trigger_index.times, trigger_index.nodes
-    else:
-        if trigger_times is None or trigger_nodes is None:
-            raise WindowAnalysisError(
-                "need trigger_times/trigger_nodes or a trigger_index"
-            )
-        trig_t, trig_n = _check_events(trigger_times, trigger_nodes)
-    if target_index is not None:
-        if target_times is not None or target_nodes is not None:
-            warnings.warn(
-                "target_times/target_nodes are ignored when target_index "
-                "is given; pass only target_index",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    else:
-        if target_times is None or target_nodes is None:
-            raise WindowAnalysisError(
-                "need target_times/target_nodes or a target_index"
-            )
-        target_index = EventIndex(*_check_events(target_times, target_nodes))
-
-    # Censor triggers without a complete follow-up window.
-    alive = trig_t + span.days <= period.end
-    trig_t, trig_n = trig_t[alive], trig_n[alive]
-    n_triggers = int(trig_t.size)
-    if n_triggers == 0:
-        return ZERO_COUNTS
-
-    own_counts = _per_node_window_counts(trig_t, trig_n, target_index, span)
-    if scope is Scope.NODE:
-        return Counts(int((own_counts > 0).sum()), n_triggers)
-
-    if num_nodes is None:
-        raise WindowAnalysisError(f"{scope} scope requires num_nodes")
-    if scope is Scope.RACK:
-        if rack_of is None:
-            raise WindowAnalysisError("RACK scope requires a rack_of mapping")
-        rack_of = np.asarray(rack_of, dtype=np.int64)
-        if rack_of.shape != (num_nodes,):
-            raise WindowAnalysisError(
-                "rack_of must map every node of the system to a rack"
-            )
-        rack_sizes = np.bincount(rack_of, minlength=int(rack_of.max()) + 1)
-        trig_racks = rack_of[trig_n]
-        trials = int((rack_sizes[trig_racks] - 1).sum())
-    else:
-        trials = n_triggers * (num_nodes - 1)
-    if trials == 0:
-        return ZERO_COUNTS
-
-    # successes = sum over triggers of the number of distinct *other*
-    # in-scope nodes with >= 1 event in the trigger's window.  Decompose
-    # into all in-scope nodes (per target-node block, vectorised over the
-    # relevant triggers) minus the trigger's own node, which is exactly
-    # the NODE-scope hit count already computed above.
-    successes = -int((own_counts > 0).sum())
-    if scope is Scope.RACK:
-        # Group triggers by rack once; each target node then queries only
-        # its rack's triggers.
-        order = np.argsort(trig_racks, kind="stable")
-        grouped_t = trig_t[order]
-        grouped_racks = trig_racks[order]
-        n_racks = int(rack_sizes.size)
-        rack_starts = np.zeros(n_racks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(grouped_racks, minlength=n_racks), out=rack_starts[1:])
-        for node in target_index.event_nodes():
-            rack = int(rack_of[node]) if node < num_nodes else -1
-            if rack < 0:
-                continue
-            sel = grouped_t[rack_starts[rack] : rack_starts[rack + 1]]
-            if sel.size:
-                successes += int(
-                    (target_index.window_counts(node, sel, span.days) > 0).sum()
-                )
-    else:
-        for node in target_index.event_nodes():
-            successes += int(
-                (target_index.window_counts(node, trig_t, span.days) > 0).sum()
-            )
-    return Counts(successes, trials)
-
-
-def _per_node_window_counts(
-    trig_t: np.ndarray,
-    trig_n: np.ndarray,
-    target_index: EventIndex,
-    span: Span,
-) -> np.ndarray:
-    """#target events on the trigger's own node in each ``(t, t+span]``."""
-    counts = np.zeros(trig_t.size, dtype=np.int64)
-    if len(target_index) == 0 or trig_t.size == 0:
-        return counts
-    # Group the triggers by node once; each group queries its node's
-    # pre-sorted block in the target index.
-    order = np.argsort(trig_n, kind="stable")
-    grouped = trig_n[order]
-    bounds = np.flatnonzero(np.diff(grouped)) + 1
-    for sel in np.split(order, bounds):
-        node = int(trig_n[sel[0]])
-        block = target_index.node_block(node)
-        if block.size == 0:
-            continue
-        starts = trig_t[sel]
-        lo = np.searchsorted(block, starts, side="right")
-        hi = np.searchsorted(block, starts + span.days, side="right")
-        counts[sel] = hi - lo
-    return counts
 
 
 #: Most segment elements :func:`slice_window_counts` expands at once.
@@ -439,21 +220,42 @@ def conditional_counts_batch(
 ) -> list[list[list[Counts]]]:
     """A trigger x target x span grid of conditional :class:`Counts`.
 
-    Computes every cell that per-cell :func:`conditional_counts` calls
-    would produce, with one :func:`slice_window_counts` call per target:
+    The follow-up window is ``(t, t + span]``, open at the trigger time
+    (the trigger itself, and any simultaneous events, never count as
+    their own follow-up).  Triggers with ``t + span > period.end`` are
+    censored out of the trials.
+
+    The unit at risk matches the paper's phrasing "the probability that
+    *a node* fails in the window following ...":
+
+    * NODE scope -- one trial per trigger; success when the trigger's
+      *own* node has a qualifying event in the window.
+    * RACK scope -- one trial per (trigger, other node in the trigger's
+      rack) pair; success when that node has a qualifying event in the
+      window.  Requires ``rack_of``.
+    * SYSTEM scope -- one trial per (trigger, other node of the system)
+      pair; requires ``num_nodes``.
+
+    Counting *pairs* (rather than "any other node fails") is essential:
+    in a 1024-node system some node almost surely fails every week, so
+    the any-node probability saturates at 1 and carries no information,
+    whereas the per-node probability reproduces the paper's 2.04% ->
+    2.68% system-level result.
+
+    The grid takes one :func:`slice_window_counts` call per target:
     every (trigger stream, span) pair is one labelled slice of rows.
     Because trigger times are sorted and censoring
     (``t + span.days <= period.end``) is monotone in ``t``, each slice
-    is a prefix of its trigger stream.  Results are exactly equal to the
-    per-cell kernel (all reductions are integer counts of the same
-    searchsorted comparisons).
+    is a prefix of its trigger stream.
 
     Args:
         triggers: trigger event streams (grid rows).
         targets: qualifying event streams (grid columns).
         period: observation period.
         spans: window lengths (grid depth).
-        scope / rack_of / num_nodes: as in :func:`conditional_counts`.
+        scope: NODE, RACK or SYSTEM.
+        rack_of: node -> rack id mapping, required for RACK scope.
+        num_nodes: system node count, required for RACK/SYSTEM scope.
 
     Returns:
         ``grid[i][j][k]`` = counts for ``(triggers[i], targets[j],
@@ -463,9 +265,7 @@ def conditional_counts_batch(
     n_spans = len(spans)
     counter_add("windows.conditional_batch_calls", 1)
     counter_add(
-        "windows.conditional_cells",
-        len(triggers) * len(targets) * n_spans,
-        path="batch",
+        "windows.conditional_cells", len(triggers) * len(targets) * n_spans
     )
     if scope is not Scope.NODE and num_nodes is None:
         raise WindowAnalysisError(f"{scope} scope requires num_nodes")
@@ -485,8 +285,8 @@ def conditional_counts_batch(
     trials: list[int] = []
     for i, trigger in enumerate(triggers):
         for k, span in enumerate(spans):
-            # The same elementwise predicate as the per-cell kernel (NOT
-            # the rearranged ``t <= end - days``, which differs in float).
+            # The elementwise predicate ``t + days <= end`` (NOT the
+            # rearranged ``t <= end - days``, which differs in float).
             alive = int(
                 np.count_nonzero(trigger.times + span.days <= period.end)
             )
@@ -542,10 +342,17 @@ def baseline_counts_batch(
 ) -> list[list[Counts]]:
     """A target x span grid of tiled-window baseline :class:`Counts`.
 
-    Exactly equivalent to per-cell :func:`baseline_counts` calls, but the
-    event streams arrive pre-sorted as :class:`EventIndex` objects and a
-    ``node_subset`` filter is applied once per target instead of once per
-    (target, span) cell.
+    The baseline is "a random node in a random window": a (node, tile)
+    trial succeeds when the node has >= 1 qualifying event in the tile.
+
+    Args:
+        targets: the qualifying event streams (grid rows).
+        num_nodes: node count of the system.
+        period: observation period.
+        spans: window lengths (grid columns).
+        node_subset: restrict the trials (and events) to these nodes --
+            used e.g. for "rest of the nodes" baselines in Section IV.
+            Duplicate ids count once.
 
     Returns:
         ``grid[j][k]`` = counts for ``(targets[j], spans[k])``.
@@ -554,9 +361,7 @@ def baseline_counts_batch(
         raise WindowAnalysisError(f"num_nodes must be >= 1, got {num_nodes}")
     spans = list(spans)
     counter_add("windows.baseline_batch_calls", 1)
-    counter_add(
-        "windows.baseline_cells", len(targets) * len(spans), path="batch"
-    )
+    counter_add("windows.baseline_cells", len(targets) * len(spans))
     subset = None
     n_nodes_at_risk = num_nodes
     if node_subset is not None:

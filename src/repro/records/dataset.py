@@ -115,17 +115,6 @@ class EventIndex:
         """Nodes with at least one event, ascending."""
         return np.flatnonzero(np.diff(self.node_starts) > 0)
 
-    def window_counts(
-        self, node: int, starts: np.ndarray, span_days: float
-    ) -> np.ndarray:
-        """Per-start counts of this node's events in ``(start, start+span]``."""
-        block = self.node_block(node)
-        if block.size == 0:
-            return np.zeros(np.asarray(starts).shape, dtype=np.int64)
-        lo = np.searchsorted(block, starts, side="right")
-        hi = np.searchsorted(block, starts + span_days, side="right")
-        return hi - lo
-
 
 class FailureTable:
     """Columnar (numpy) view of a failure log, for vectorised analyses.

@@ -73,9 +73,9 @@ class TemperatureReading:
 class TemperatureColumns:
     """A temperature log as parallel numpy columns (one row per sample).
 
-    The columnar twin of a ``list[TemperatureReading]`` for
-    :func:`summarize_temperatures`; row order matches the record list's
-    iteration order so both paths aggregate identical value sequences.
+    The columnar twin of a ``list[TemperatureReading]`` and the form
+    :func:`summarize_temperatures` computes on; row order matches the
+    record list's iteration order.
     """
 
     times: np.ndarray
@@ -153,56 +153,19 @@ def summarize_temperatures(
 ) -> list[NodeTemperatureSummary]:
     """Aggregate raw readings into per-node Table-I temperature variables.
 
-    Accepts record objects or a :class:`TemperatureColumns` (identical
-    result, computed without touching record objects).  Nodes with no
-    readings get NaN aggregates and zero counts; regression code drops
-    or imputes them explicitly rather than silently.
+    Accepts a :class:`TemperatureColumns` or record objects (converted
+    to columns once); each node's readings are aggregated in log order.
+    Nodes with no readings get NaN aggregates and zero counts;
+    regression code drops or imputes them explicitly rather than
+    silently.
     """
     if num_nodes < 1:
         raise EnvironmentRecordError(f"num_nodes must be >= 1, got {num_nodes}")
-    if isinstance(readings, TemperatureColumns):
-        return _summaries_from_columns(readings, num_nodes)
-    samples: list[list[float]] = [[] for _ in range(num_nodes)]
-    for r in readings:
-        if r.node_id >= num_nodes:
-            raise EnvironmentRecordError(
-                f"reading references node {r.node_id} but the system has "
-                f"only {num_nodes} nodes"
-            )
-        samples[r.node_id].append(r.celsius)
-    out = []
-    for node in range(num_nodes):
-        vals = np.asarray(samples[node], dtype=float)
-        if vals.size == 0:
-            out.append(
-                NodeTemperatureSummary(
-                    node_id=node,
-                    avg_temp=float("nan"),
-                    max_temp=float("nan"),
-                    temp_var=float("nan"),
-                    num_hightemp=0,
-                    num_readings=0,
-                )
-            )
-            continue
-        out.append(
-            NodeTemperatureSummary(
-                node_id=node,
-                avg_temp=float(vals.mean()),
-                max_temp=float(vals.max()),
-                temp_var=float(vals.var()),
-                num_hightemp=int((vals > HIGH_TEMP_THRESHOLD_C).sum()),
-                num_readings=int(vals.size),
-            )
-        )
-    return out
-
-
-def _summaries_from_columns(
-    cols: TemperatureColumns, num_nodes: int
-) -> list[NodeTemperatureSummary]:
-    """Columnar :func:`summarize_temperatures`; bit-identical to the
-    record path (stable sort keeps each node's sample order)."""
+    cols = (
+        readings
+        if isinstance(readings, TemperatureColumns)
+        else TemperatureColumns.from_records(list(readings))
+    )
     nodes = cols.node_ids
     if nodes.size and int(nodes.max()) >= num_nodes:
         bad = int(nodes[np.argmax(nodes >= num_nodes)])

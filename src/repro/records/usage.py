@@ -107,8 +107,8 @@ class JobRecord:
 class JobColumns:
     """A job log as parallel numpy columns (one row per job).
 
-    The columnar twin of a ``list[JobRecord]``: the usage summarizers
-    accept either, and the columnar form skips materializing hundreds of
+    The columnar twin of a ``list[JobRecord]`` and the form the usage
+    summarizers compute on; it skips materializing hundreds of
     thousands of record objects when the log is read from CSV or from
     the archive cache.  Node assignments are ragged, so they are kept in
     CSR layout: job ``i`` ran on ``node_ids[node_offsets[i]:
@@ -242,6 +242,12 @@ class JobColumns:
         return bad
 
 
+def _as_columns(jobs: Iterable[JobRecord] | JobColumns) -> JobColumns:
+    if isinstance(jobs, JobColumns):
+        return jobs
+    return JobColumns.from_records(list(jobs))
+
+
 @dataclass(frozen=True, slots=True)
 class NodeUsage:
     """Per-node usage summary derived from a job log.
@@ -260,23 +266,6 @@ class NodeUsage:
     busy_days: float
 
 
-def _merged_busy_time(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of ``[start, end)`` intervals."""
-    if not intervals:
-        return 0.0
-    intervals.sort()
-    total = 0.0
-    cur_lo, cur_hi = intervals[0]
-    for lo, hi in intervals[1:]:
-        if lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    total += cur_hi - cur_lo
-    return total
-
-
 def node_usage_summaries(
     jobs: Iterable[JobRecord] | JobColumns,
     num_nodes: int,
@@ -290,8 +279,8 @@ def node_usage_summaries(
     observation period.
 
     Args:
-        jobs: the system's job log -- records, or a :class:`JobColumns`
-            (same result, computed without touching record objects).
+        jobs: the system's job log -- a :class:`JobColumns`, or records
+            (converted to columns once).
         num_nodes: total node count (nodes without jobs get zero usage).
         period: the system's observation period.
 
@@ -300,41 +289,7 @@ def node_usage_summaries(
     """
     if num_nodes < 1:
         raise UsageError(f"num_nodes must be >= 1, got {num_nodes}")
-    if isinstance(jobs, JobColumns):
-        return _node_usage_from_columns(jobs, num_nodes, period)
-    intervals: list[list[tuple[float, float]]] = [[] for _ in range(num_nodes)]
-    counts = np.zeros(num_nodes, dtype=np.int64)
-    for job in jobs:
-        lo = max(job.dispatch_time, period.start)
-        hi = min(job.end_time, period.end)
-        for node in job.node_ids:
-            if node >= num_nodes:
-                raise UsageError(
-                    f"job {job.job_id} references node {node} but the system "
-                    f"has only {num_nodes} nodes"
-                )
-            counts[node] += 1
-            if hi > lo:
-                intervals[node].append((lo, hi))
-    out = []
-    for node in range(num_nodes):
-        busy = _merged_busy_time(intervals[node])
-        out.append(
-            NodeUsage(
-                node_id=node,
-                num_jobs=int(counts[node]),
-                utilization=busy / period.length,
-                busy_days=busy,
-            )
-        )
-    return out
-
-
-def _node_usage_from_columns(
-    cols: JobColumns, num_nodes: int, period: ObservationPeriod
-) -> list[NodeUsage]:
-    """Columnar :func:`node_usage_summaries`; result matches the record
-    path bit-for-bit (same interval order, same float accumulation)."""
+    cols = _as_columns(jobs)
     nodes = cols.node_ids
     if nodes.size and int(nodes.max()) >= num_nodes:
         pos = int(np.argmax(nodes >= num_nodes))
@@ -351,8 +306,7 @@ def _node_usage_from_columns(
     sel_nodes = nodes[keep]
     lo = lo[keep]
     hi = hi[keep]
-    # Sorting by (node, lo, hi) reproduces the per-node interval order of
-    # the record path's list.sort() on (lo, hi) tuples.
+    # Each node's intervals in (lo, hi) order.
     order = np.lexsort((hi, lo, sel_nodes))
     sel_nodes = sel_nodes[order]
     lo = lo[order]
@@ -372,8 +326,8 @@ def _node_usage_from_columns(
         np.greater(l[1:], m[:-1], out=new_run[1:])
         run_starts = np.flatnonzero(new_run)
         run_ends = np.append(run_starts[1:], l.size) - 1
-        # Python-level sum over the run lengths keeps the sequential
-        # left-to-right float accumulation of the record path.
+        # A Python-level sum adds the run lengths left to right, like a
+        # sequential interval merge; np.sum would reorder the additions.
         busy[node] = sum((m[run_ends] - l[run_starts]).tolist())
     return [
         NodeUsage(
@@ -416,30 +370,15 @@ def user_usage_summaries(
     """Aggregate a job log into per-user usage summaries.
 
     Returns one :class:`UserUsage` per distinct user, sorted by decreasing
-    processor-days (the paper focuses on the 50 heaviest users).
+    processor-days (the paper focuses on the 50 heaviest users); ties
+    keep first-appearance order.  Records are converted to
+    :class:`JobColumns` once.
     """
-    if isinstance(jobs, JobColumns):
-        return _user_usage_from_columns(jobs)
-    pd: dict[int, float] = {}
-    fails: dict[int, int] = {}
-    for job in jobs:
-        pd[job.user_id] = pd.get(job.user_id, 0.0) + job.processor_days
-        fails[job.user_id] = fails.get(job.user_id, 0) + int(job.failed_due_to_node)
-    summaries = [
-        UserUsage(user_id=u, processor_days=pd[u], node_failed_jobs=fails[u])
-        for u in pd
-    ]
-    summaries.sort(key=lambda s: s.processor_days, reverse=True)
-    return summaries
-
-
-def _user_usage_from_columns(cols: JobColumns) -> list[UserUsage]:
-    """Columnar :func:`user_usage_summaries`, bit-identical to the record
-    path: ``ufunc.at`` accumulates in job order like the dict loop, and
-    ties in processor-days keep first-appearance (insertion) order."""
+    cols = _as_columns(jobs)
     users, inverse = np.unique(cols.user_ids, return_inverse=True)
     if users.size == 0:
         return []
+    # ``ufunc.at`` accumulates each user's jobs in job order.
     pdays = (cols.end_times - cols.dispatch_times) * cols.num_processors
     totals = np.zeros(users.size, dtype=float)
     np.add.at(totals, inverse, pdays)

@@ -40,6 +40,37 @@ KIND_FAILURE = "failure"
 _SUBTYPE_BY_TOKEN: dict[str, Subtype] = {s.value: s for s in all_subtypes()}
 _CATEGORY_BY_TOKEN: dict[str, Category] = {c.value: c for c in Category}
 
+#: Wire ids must fit the int64 columns of the stream state.
+_ID_LIMIT = 2**63
+
+
+def _wire_int(value: object, key: str) -> int:
+    """A JSON integer field (not a bool or float) within int64."""
+    if type(value) is not int:
+        raise StreamEventError(
+            f"{key} must be an integer, got {type(value).__name__}"
+        )
+    if not -_ID_LIMIT <= value < _ID_LIMIT:
+        raise StreamEventError(f"{key} is out of the int64 range")
+    return value
+
+
+def _wire_float(value: object, key: str, minimum: float = -math.inf) -> float:
+    """A finite JSON number field (not a bool), at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StreamEventError(
+            f"{key} must be a number, got {type(value).__name__}"
+        )
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise StreamEventError(f"{key} is out of the float range") from exc
+    if not (math.isfinite(number) and number >= minimum):
+        raise StreamEventError(
+            f"{key} must be finite and >= {minimum}, got {number}"
+        )
+    return number
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class StreamEvent:
@@ -102,10 +133,16 @@ class StreamEvent:
 
     @classmethod
     def from_json_line(cls, line: str) -> "StreamEvent":
-        """Parse one JSONL line; raises :class:`StreamEventError` on junk."""
+        """Parse one JSONL line; raises :class:`StreamEventError` on junk.
+
+        ``time`` and ``downtime_hours`` (>= 0) must be finite JSON
+        numbers and ``system_id`` / ``node_id`` JSON integers; any other
+        input, including over-deep nesting, raises
+        :class:`StreamEventError`.
+        """
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise StreamEventError(f"malformed JSONL event: {exc}") from exc
         if not isinstance(payload, dict):
             raise StreamEventError(
@@ -115,9 +152,9 @@ class StreamEvent:
             category_token = payload.get("category")
             subtype_token = payload.get("subtype")
             return cls(
-                time=float(payload["time"]),
-                system_id=int(payload["system_id"]),
-                node_id=int(payload["node_id"]),
+                time=_wire_float(payload["time"], "time"),
+                system_id=_wire_int(payload["system_id"], "system_id"),
+                node_id=_wire_int(payload["node_id"], "node_id"),
                 event_id=str(payload["event_id"]),
                 kind=str(payload.get("kind", KIND_FAILURE)),
                 category=(
@@ -130,9 +167,11 @@ class StreamEvent:
                     if subtype_token is not None
                     else None
                 ),
-                downtime_hours=float(payload.get("downtime_hours", 0.0)),
+                downtime_hours=_wire_float(
+                    payload.get("downtime_hours", 0.0), "downtime_hours", 0.0
+                ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise StreamEventError(f"invalid event payload: {exc}") from exc
 
 

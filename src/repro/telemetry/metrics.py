@@ -1,7 +1,7 @@
 """A process-wide metrics registry: counters, gauges and histograms.
 
 Pipeline components report coarse-grained measurements here --
-analysis-cache hit/miss/bypass totals, archive-cache warm/cold loads,
+analysis-cache hit/miss totals, archive-cache warm/cold loads,
 events generated per hazard, bootstrap resample counts, window-kernel
 cell throughput -- and exporters turn the registry into a flat JSON
 snapshot (:func:`MetricsRegistry.snapshot`).

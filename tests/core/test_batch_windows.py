@@ -1,9 +1,9 @@
-"""Equivalence of the batched window kernels with the per-cell ones.
+"""The batched window kernels on real archive grids.
 
-The batched kernels must produce *exactly* the per-cell ``Counts`` --
-every reduction is an integer count of searchsorted comparisons, so
-batching changes evaluation order but not a single value.  These tests
-pin that on the medium fixture across scopes, spans and event kinds.
+A grid must equal its cells computed one at a time: batching stacks
+every (trigger, span) pair into one labelled slice per target, so a
+labelling or prefix slip would move counts between cells.  The naive
+reference in ``test_windows_reference.py`` pins the cells themselves.
 """
 
 from __future__ import annotations
@@ -11,16 +11,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.records.dataset import EventIndex
 from repro.records.taxonomy import Category, HardwareSubtype, all_categories
 from repro.records.timeutil import ALL_SPANS, Span
 from repro.core.windows import (
+    ZERO_COUNTS,
     Scope,
     WindowAnalysisError,
-    baseline_counts,
     baseline_counts_batch,
-    conditional_counts,
     conditional_counts_batch,
 )
+from tests.core.test_windows_reference import baseline_cell, conditional_cell
 
 
 def _indexes(ds, kinds):
@@ -54,13 +55,13 @@ class TestConditionalBatchEquivalence:
         for i, trig in enumerate(triggers):
             for j, targ in enumerate(targets):
                 for k, span in enumerate(ALL_SPANS):
-                    expected = conditional_counts(
-                        period=ds.period,
-                        span=span,
+                    expected = conditional_cell(
+                        trig,
+                        targ,
+                        ds.period,
+                        span,
                         scope=scope,
                         num_nodes=ds.num_nodes,
-                        trigger_index=trig,
-                        target_index=targ,
                     )
                     assert grid[i][j][k] == expected
 
@@ -68,46 +69,38 @@ class TestConditionalBatchEquivalence:
         ds = next(s for s in group1 if s.rack_of is not None)
         triggers = _indexes(ds, TRIGGER_KINDS)
         targets = _indexes(ds, TARGET_KINDS)
+        spans = [Span.DAY, Span.WEEK]
         grid = conditional_counts_batch(
             triggers,
             targets,
             ds.period,
-            [Span.DAY, Span.WEEK],
+            spans,
             scope=Scope.RACK,
             rack_of=ds.rack_of,
             num_nodes=ds.num_nodes,
         )
         for i, trig in enumerate(triggers):
             for j, targ in enumerate(targets):
-                for k, span in enumerate([Span.DAY, Span.WEEK]):
-                    expected = conditional_counts(
-                        period=ds.period,
-                        span=span,
+                for k, span in enumerate(spans):
+                    expected = conditional_cell(
+                        trig,
+                        targ,
+                        ds.period,
+                        span,
                         scope=Scope.RACK,
                         rack_of=ds.rack_of,
                         num_nodes=ds.num_nodes,
-                        trigger_index=trig,
-                        target_index=targ,
                     )
                     assert grid[i][j][k] == expected
 
     def test_empty_trigger_stream(self, group1):
         ds = group1[0]
-        empty = ds.failure_table.events(subtype=HardwareSubtype.MIDPLANE)
+        empty = EventIndex(np.zeros(0), np.zeros(0, dtype=np.int64))
         target = ds.failure_table.events()
-        if empty.times.size:
-            pytest.skip("fixture realisation has midplane failures")
         grid = conditional_counts_batch(
             [empty], [target], ds.period, ALL_SPANS, num_nodes=ds.num_nodes
         )
-        for k, span in enumerate(ALL_SPANS):
-            assert grid[0][0][k] == conditional_counts(
-                period=ds.period,
-                span=span,
-                num_nodes=ds.num_nodes,
-                trigger_index=empty,
-                target_index=target,
-            )
+        assert grid[0][0] == [ZERO_COUNTS] * len(ALL_SPANS)
 
     def test_rack_scope_requires_mapping(self, group1):
         ds = group1[0]
@@ -132,9 +125,7 @@ class TestBaselineBatchEquivalence:
         )
         for j, targ in enumerate(targets):
             for k, span in enumerate(ALL_SPANS):
-                expected = baseline_counts(
-                    targ.times, targ.nodes, ds.num_nodes, ds.period, span
-                )
+                expected = baseline_cell(targ, ds.num_nodes, ds.period, span)
                 assert grid[j][k] == expected
 
     def test_matches_per_cell_with_node_subset(self, group1):
@@ -146,78 +137,7 @@ class TestBaselineBatchEquivalence:
         )
         for j, targ in enumerate(targets):
             for k, span in enumerate(ALL_SPANS):
-                expected = baseline_counts(
-                    targ.times,
-                    targ.nodes,
-                    ds.num_nodes,
-                    ds.period,
-                    span,
-                    node_subset=subset,
+                expected = baseline_cell(
+                    targ, ds.num_nodes, ds.period, span, node_subset=subset
                 )
                 assert grid[j][k] == expected
-
-
-class TestConditionalCountsApi:
-    def test_index_only_call(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        direct = conditional_counts(
-            idx.times,
-            idx.nodes,
-            idx.times,
-            idx.nodes,
-            ds.period,
-            Span.WEEK,
-        )
-        via_index = conditional_counts(
-            period=ds.period,
-            span=Span.WEEK,
-            trigger_index=idx,
-            target_index=idx,
-        )
-        assert via_index == direct
-
-    def test_redundant_target_arrays_warn(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.warns(DeprecationWarning, match="target_times"):
-            conditional_counts(
-                idx.times,
-                idx.nodes,
-                idx.times,
-                idx.nodes,
-                ds.period,
-                Span.WEEK,
-                target_index=idx,
-            )
-
-    def test_redundant_trigger_arrays_warn(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.warns(DeprecationWarning, match="trigger_times"):
-            conditional_counts(
-                trigger_times=idx.times,
-                trigger_nodes=idx.nodes,
-                period=ds.period,
-                span=Span.WEEK,
-                trigger_index=idx,
-                target_index=idx,
-            )
-
-    def test_missing_period_or_span_rejected(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.raises(WindowAnalysisError, match="period and span"):
-            conditional_counts(trigger_index=idx, target_index=idx)
-
-    def test_missing_events_rejected(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.raises(WindowAnalysisError, match="trigger"):
-            conditional_counts(
-                period=ds.period, span=Span.WEEK, target_index=idx
-            )
-        with pytest.raises(WindowAnalysisError, match="target"):
-            conditional_counts(
-                period=ds.period, span=Span.WEEK, trigger_index=idx
-            )

@@ -1,7 +1,8 @@
 """Analysis-cache correctness and report byte-identity.
 
-The memoization layer must be invisible: a cached report, a cache-less
-report and a parallel report must all be the same bytes.  These tests
+The memoization layer must be invisible: a cached report, a memo-less
+report (:class:`MemolessCache`, which forgets every memo before each
+query) and a parallel report must all be the same bytes.  These tests
 also pin the cache bookkeeping the ``--profile`` flag reports.
 """
 
@@ -12,9 +13,7 @@ import pytest
 
 from repro.core.cache import (
     AnalysisCache,
-    cache_disabled,
     cache_stats,
-    caching_enabled,
     fail_kind,
     get_cache,
     maint_kind,
@@ -23,14 +22,36 @@ from repro.core.cache import (
     split_kind,
 )
 from repro.core.report import REPORT_SECTIONS, full_report, profiled_full_report
-from repro.core.windows import (
-    Scope,
-    WindowAnalysisError,
-    baseline_counts,
-    conditional_counts,
-)
+from repro.core.windows import Scope, WindowAnalysisError
 from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import Span
+from tests.core.test_windows_reference import baseline_cell, conditional_cell
+
+#: Modules that bind ``get_cache`` at import time.
+CACHE_USERS = ("cache", "nodes", "regression", "temperature", "usage", "users")
+
+
+def _memoless(query):
+    def forgetful(self, *args, **kwargs):
+        self._counts.clear()
+        self._summaries.clear()
+        self._indices.clear()
+        return query(self, *args, **kwargs)
+
+    return forgetful
+
+
+class MemolessCache(AnalysisCache):
+    """An :class:`AnalysisCache` that recomputes every query from scratch."""
+
+    baseline_grid = _memoless(AnalysisCache.baseline_grid)
+    conditional_grid = _memoless(AnalysisCache.conditional_grid)
+    summary = _memoless(AnalysisCache.summary)
+
+    def events(self, kind):
+        # Only the index memo: a grid query calls this mid-computation.
+        self._indices.clear()
+        return super().events(kind)
 
 
 def _fresh(ds):
@@ -52,9 +73,7 @@ class TestAnalysisCache:
         cache = get_cache(ds)
         kind = fail_kind(category=Category.HARDWARE)
         idx = ds.failure_table.events(category=Category.HARDWARE)
-        expected = baseline_counts(
-            idx.times, idx.nodes, ds.num_nodes, ds.period, Span.WEEK
-        )
+        expected = baseline_cell(idx, ds.num_nodes, ds.period, Span.WEEK)
         assert cache.baseline(kind, Span.WEEK) == expected
         misses = cache.misses
         assert cache.baseline(kind, Span.WEEK) == expected
@@ -67,12 +86,12 @@ class TestAnalysisCache:
         trig = fail_kind(category=Category.SOFTWARE)
         targ = fail_kind()
         got = cache.conditional(trig, targ, Span.DAY, Scope.NODE)
-        expected = conditional_counts(
-            period=ds.period,
-            span=Span.DAY,
+        expected = conditional_cell(
+            ds.failure_table.events(category=Category.SOFTWARE),
+            ds.failure_table.events(),
+            ds.period,
+            Span.DAY,
             num_nodes=ds.num_nodes,
-            trigger_index=ds.failure_table.events(category=Category.SOFTWARE),
-            target_index=ds.failure_table.events(),
         )
         assert got == expected
 
@@ -82,17 +101,6 @@ class TestAnalysisCache:
             cache.baseline(
                 fail_kind(), Span.WEEK, node_subset=np.array([0, 1])
             )
-
-    def test_cache_disabled_matches_enabled(self, group1):
-        ds = _fresh(group1[0])
-        kinds = [fail_kind(), fail_kind(subtype=HardwareSubtype.MEMORY)]
-        spans = [Span.DAY, Span.WEEK]
-        enabled = get_cache(ds).baseline_grid(kinds, spans)
-        with cache_disabled():
-            assert not caching_enabled()
-            disabled = get_cache(_fresh(ds)).baseline_grid(kinds, spans)
-        assert caching_enabled()
-        assert enabled == disabled
 
     def test_maintenance_kind(self, group1):
         ds = _fresh(group1[0])
@@ -146,8 +154,15 @@ class TestReportIdentity:
     def uncached_text(self, tiny_archive):
         for ds in tiny_archive:
             _fresh(ds)
-        with cache_disabled():
-            return full_report(tiny_archive)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in CACHE_USERS:
+                patch.setattr(
+                    f"repro.core.{name}.get_cache", lambda ds: MemolessCache(ds)
+                )
+            text = full_report(tiny_archive)
+        for ds in tiny_archive:
+            assert "_analysis_cache" not in ds.__dict__
+        return text
 
     def test_cold_and_warm_match_uncached(self, tiny_archive, uncached_text):
         for ds in tiny_archive:

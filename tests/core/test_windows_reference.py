@@ -1,9 +1,14 @@
 """Reference-implementation tests for the window engine.
 
-The vectorised engine in :mod:`repro.core.windows` is the foundation of
-most results, so it is checked here against a deliberately naive
+The batched kernels in :mod:`repro.core.windows` are the foundation of
+most results, so they are checked here against a deliberately naive
 O(triggers x targets) implementation under randomly generated event
-streams (hypothesis).  Any disagreement is a bug in one of them.
+streams (hypothesis).  The naive functions are the only oracle of the
+window counts: any disagreement is a bug in one of them.
+
+:func:`baseline_cell` / :func:`conditional_cell` run the batched
+kernels on a one-cell grid, for tests that check a single hand-built
+case.
 """
 
 from unittest import mock
@@ -16,23 +21,47 @@ from repro.core import windows
 from repro.core.windows import (
     Counts,
     Scope,
-    baseline_counts,
-    conditional_counts,
+    baseline_counts_batch,
+    conditional_counts_batch,
     prev_same_node,
     slice_window_counts,
 )
-from repro.records.timeutil import ObservationPeriod, Span, count_windows
+from repro.records.dataset import EventIndex
+from repro.records.timeutil import ALL_SPANS, ObservationPeriod, Span, count_windows
 
 PERIOD = ObservationPeriod(0.0, 120.0)
 NUM_NODES = 5
 RACK_OF = np.array([0, 0, 1, 1, 2])
 
 
-def naive_baseline(times, nodes, num_nodes, period, span):
-    """Brute-force tiled baseline."""
+def baseline_cell(target, num_nodes, period, span, node_subset=None):
+    """One baseline cell of :func:`baseline_counts_batch`."""
+    return baseline_counts_batch(
+        [target], num_nodes, period, [span], node_subset=node_subset
+    )[0][0]
+
+
+def conditional_cell(
+    trigger, target, period, span, scope=Scope.NODE, rack_of=None, num_nodes=None
+):
+    """One conditional cell of :func:`conditional_counts_batch`."""
+    return conditional_counts_batch(
+        [trigger],
+        [target],
+        period,
+        [span],
+        scope=scope,
+        rack_of=rack_of,
+        num_nodes=num_nodes,
+    )[0][0][0]
+
+
+def naive_baseline(times, nodes, num_nodes, period, span, node_subset=None):
+    """Brute-force tiled baseline, optionally over a node subset."""
     n_windows = count_windows(period, span)
+    at_risk = range(num_nodes) if node_subset is None else set(node_subset)
     successes = 0
-    for node in range(num_nodes):
+    for node in at_risk:
         for w in range(n_windows):
             lo = period.start + w * span.days
             hi = lo + span.days
@@ -40,7 +69,7 @@ def naive_baseline(times, nodes, num_nodes, period, span):
                 n == node and lo <= t < hi for t, n in zip(times, nodes)
             ):
                 successes += 1
-    return Counts(successes, num_nodes * n_windows)
+    return Counts(successes, len(at_risk) * n_windows)
 
 
 def naive_conditional(
@@ -100,6 +129,16 @@ tied_events_strategy = st.lists(
     max_size=25,
 )
 
+#: One to three event streams (grid rows or columns), each tied or not.
+streams_strategy = st.lists(
+    st.one_of(events_strategy, tied_events_strategy), min_size=1, max_size=3
+)
+
+#: The grid depth: every span, in any order.
+spans_strategy = st.permutations(list(ALL_SPANS))
+
+scopes_strategy = st.sampled_from([Scope.NODE, Scope.RACK, Scope.SYSTEM])
+
 
 def to_arrays(events):
     events = sorted(events)
@@ -108,59 +147,90 @@ def to_arrays(events):
     return t, n
 
 
-class TestAgainstReference:
-    @settings(max_examples=60, deadline=None)
-    @given(events=events_strategy, span=st.sampled_from([Span.DAY, Span.WEEK]))
-    def test_baseline_matches(self, events, span):
-        t, n = to_arrays(events)
-        fast = baseline_counts(t, n, NUM_NODES, PERIOD, span)
-        slow = naive_baseline(t, n, NUM_NODES, PERIOD, span)
-        assert fast == slow
+def to_index(events):
+    return EventIndex(*to_arrays(events))
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        trig=events_strategy,
-        targ=events_strategy,
-        span=st.sampled_from([Span.DAY, Span.WEEK]),
-        scope=st.sampled_from([Scope.NODE, Scope.RACK, Scope.SYSTEM]),
+
+def conditional_grid(triggers, targets, spans, scope):
+    return conditional_counts_batch(
+        [to_index(e) for e in triggers],
+        [to_index(e) for e in targets],
+        PERIOD,
+        spans,
+        scope=scope,
+        rack_of=RACK_OF if scope is Scope.RACK else None,
+        num_nodes=NUM_NODES,
     )
-    def test_conditional_matches(self, trig, targ, span, scope):
-        tt, tn = to_arrays(trig)
-        gt, gn = to_arrays(targ)
-        fast = conditional_counts(
-            tt,
-            tn,
-            gt,
-            gn,
-            PERIOD,
-            span,
-            scope=scope,
-            rack_of=RACK_OF if scope is Scope.RACK else None,
-            num_nodes=NUM_NODES,
-        )
-        slow = naive_conditional(
-            sorted(trig),
-            sorted(targ),
-            PERIOD,
-            span,
-            scope,
-            rack_of=RACK_OF,
-            num_nodes=NUM_NODES,
-        )
-        assert fast == slow
 
-    @settings(max_examples=40, deadline=None)
-    @given(events=events_strategy)
-    def test_self_conditional_matches(self, events):
-        """Trigger stream == target stream (the paper's common case)."""
-        t, n = to_arrays(events)
-        fast = conditional_counts(
-            t, n, t, n, PERIOD, Span.WEEK, scope=Scope.NODE
+
+def assert_conditional_grid(grid, triggers, targets, spans, scope):
+    for i, trig in enumerate(triggers):
+        for j, targ in enumerate(targets):
+            for k, span in enumerate(spans):
+                expected = naive_conditional(
+                    sorted(trig),
+                    sorted(targ),
+                    PERIOD,
+                    span,
+                    scope,
+                    rack_of=RACK_OF,
+                    num_nodes=NUM_NODES,
+                )
+                assert grid[i][j][k] == expected, (i, j, span)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(targets=streams_strategy, spans=spans_strategy)
+    def test_baseline_matches(self, targets, spans):
+        grid = baseline_counts_batch(
+            [to_index(e) for e in targets], NUM_NODES, PERIOD, spans
         )
-        slow = naive_conditional(
-            sorted(events), sorted(events), PERIOD, Span.WEEK, Scope.NODE
+        for j, targ in enumerate(targets):
+            t, n = to_arrays(targ)
+            for k, span in enumerate(spans):
+                assert grid[j][k] == naive_baseline(t, n, NUM_NODES, PERIOD, span)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        targets=streams_strategy,
+        spans=spans_strategy,
+        subset=st.lists(st.integers(0, NUM_NODES - 1), min_size=1, max_size=8),
+    )
+    def test_subset_baseline_matches(self, targets, spans, subset):
+        """Duplicate subset ids count once; other nodes' events drop out."""
+        grid = baseline_counts_batch(
+            [to_index(e) for e in targets],
+            NUM_NODES,
+            PERIOD,
+            spans,
+            node_subset=np.array(subset),
         )
-        assert fast == slow
+        for j, targ in enumerate(targets):
+            t, n = to_arrays(targ)
+            for k, span in enumerate(spans):
+                expected = naive_baseline(
+                    t, n, NUM_NODES, PERIOD, span, node_subset=subset
+                )
+                assert grid[j][k] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        triggers=streams_strategy,
+        targets=streams_strategy,
+        spans=spans_strategy,
+        scope=scopes_strategy,
+    )
+    def test_conditional_matches(self, triggers, targets, spans, scope):
+        grid = conditional_grid(triggers, targets, spans, scope)
+        assert_conditional_grid(grid, triggers, targets, spans, scope)
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams=streams_strategy, spans=spans_strategy, scope=scopes_strategy)
+    def test_self_conditional_matches(self, streams, spans, scope):
+        """Triggers == targets (the paper's common case), at every scope."""
+        grid = conditional_grid(streams, streams, spans, scope)
+        assert_conditional_grid(grid, streams, streams, spans, scope)
 
 
 class TestSliceKernel:
